@@ -27,24 +27,32 @@ std::size_t g_alloc_bytes = 0;
 
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The replacement operators stay out of line, and the array forms
+// forward to the scalar ones instead of repeating their bodies. Otherwise
+// GCC inlines a replacement delete (or folds identical new/new[] bodies)
+// and then pairs free() or operator delete[] with the wrong allocation
+// function (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_alloc_bytes += n;
   void* p = std::malloc(n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
-void* operator new[](std::size_t n) {
-  g_alloc_bytes += n;
-  void* p = std::malloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace {
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# CI perf guard over the bench_hotpath JSON artifact.
+# CI perf guard over the bench_hotpath and bench_scaling JSON artifacts.
 #
 # Parses BENCH_hotpath.json (path as $1, default build/bench/BENCH_hotpath.json)
 # and fails when a guarded hot-path row regresses more than 2x against its
-# pinned floor. Floors are the ns costs measured on the reference machine
+# pinned floor. Then parses BENCH_scaling.json (path as $2, default
+# build/bench/BENCH_scaling.json) and fails when a guarded multi-thread
+# ratio exceeds its ceiling. Floors are the ns costs measured on the reference machine
 # (Xeon @ 2.1 GHz, AVX2) when the row was introduced; CI runners are
 # slower and noisier than the reference box, which is exactly why the
 # trip-wire is a 2x band and not the floor itself - it catches "the fast
@@ -27,14 +29,24 @@
 # Ratio rows (range_memcpy ratio vs raw memcpy) are deliberately NOT
 # guarded: the ratio divides by raw memcpy throughput, which varies more
 # across runners than the vft side does.
+#
+# Guarded multi-thread ratio (both sides measured in the same run, so the
+# ratio carries across runner speeds where an ns floor would not):
+#   read_shared_ns_access / threads_4  abi <= 8 x packed
+#     - the deployed interposition stack against the out-of-line packed
+#       fast path at 4 threads. A shared-line write on the per-access path
+#       (a counter every thread bumps) shows up here as a ratio of ~18.
 set -u
 
 JSON="${1:-build/bench/BENCH_hotpath.json}"
+SCALING_JSON="${2:-build/bench/BENCH_scaling.json}"
 
-if [[ ! -f "$JSON" ]]; then
-  echo "check_bench_floor: $JSON not found" >&2
-  exit 1
-fi
+for f in "$JSON" "$SCALING_JSON"; do
+  if [[ ! -f "$f" ]]; then
+    echo "check_bench_floor: $f not found" >&2
+    exit 1
+  fi
+done
 
 # Pinned floors (ns) and the 2x regression ceilings derived from them.
 # Reference values from BENCH_hotpath.json at the PR that added each row.
@@ -75,6 +87,34 @@ EOF
   fi
 }
 
+# Ceiling on num/den of one row of $SCALING_JSON.
+check_ratio() {
+  local section="$1" name="$2" num="$3" den="$4" max="$5"
+  local verdict
+  verdict=$(python3 - "$SCALING_JSON" "$section" "$name" "$num" "$den" "$max" <<'EOF'
+import json, sys
+path, section, name, num, den, cap = sys.argv[1:]
+doc = json.load(open(path))
+for rec in doc.get("records", []):
+    if rec.get("section") == section and rec.get("name") == name:
+        ratio = float(rec[num]) / float(rec[den])
+        print(("ok" if ratio <= float(cap) else "FAIL"), "%.2f" % ratio)
+        break
+EOF
+)
+  if [[ -z "$verdict" ]]; then
+    echo "FAIL  $section/$name: row missing from $SCALING_JSON" >&2
+    fail=1
+  elif [[ "$verdict" == ok* ]]; then
+    printf 'ok    %-28s %s/%s = %sx  (ceiling %sx)\n' \
+      "$section/$name" "$num" "$den" "${verdict#ok }" "$max"
+  else
+    printf 'FAIL  %-28s %s/%s = %sx  exceeds ceiling %sx\n' \
+      "$section/$name" "$num" "$den" "${verdict#FAIL }" "$max" >&2
+    fail=1
+  fi
+}
+
 check abi_dispatch read8       abi_ns   3.08
 check sampling     sampled_out drop_ns  3.25
 check range_memcpy b4096       vft_ns   322
@@ -82,9 +122,11 @@ check range_memcpy b65536      vft_ns   4680
 check atomic_dispatch load     acquire_ns 31.2
 check atomic_dispatch load     relaxed_ns 56.1
 check history      same_epoch_write on_ns 3.45
+check_ratio read_shared_ns_access threads_4 abi packed 8
 
 if [[ "$fail" -ne 0 ]]; then
   echo "check_bench_floor: hot-path regression detected" >&2
   exit 1
 fi
-echo "check_bench_floor: all guarded rows within 2x of their pinned floors"
+echo "check_bench_floor: all guarded rows within 2x of their pinned floors" \
+  "and all guarded ratios within their ceilings"

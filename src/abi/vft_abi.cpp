@@ -75,10 +75,6 @@ void slow_access(const void* addr, size_t size, bool is_write,
   const uint64_t gen =
       __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
   if (fp.gen != 0 && fp.gen != gen) fp = vft_fastpath_s{};
-  // Credit the inline path's pending hit tallies before dispatching: every
-  // slow-path entry is a quiescent point at which the rule counters must
-  // equal what the out-of-line path would have produced.
-  if (fp.gen == gen) vft_fastpath_flush_hits(&fp);
   if (vft::sampling::Gate::drop_policy_active()) {
     if (vft::sampling::Gate* g = vft::sampling::Gate::active()) {
       fp.gen = gen;

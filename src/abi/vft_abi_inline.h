@@ -29,13 +29,11 @@
  *     skip count flushed to the gate at the next slow-path entry.
  *
  * The cell load is an acquire load, matching the out-of-line packed_read /
- * packed_write ordering. A hit only increments a plain thread-local tally
- * in the descriptor (two shared-counter RMWs per access would cost more
- * than the dispatch the inline path saves); the runtime flushes the
- * tallies into the session's RuleStats at every slow-path entry, re-arm,
- * and detach, so at any quiescent observation point the counters are
- * bit-identical to the out-of-line path's (asserted by
- * tests/fastpath_test.cpp).
+ * packed_write ordering. A hit bumps its two rule counters in the calling
+ * thread's own RuleStats shard through the descriptor's pointers, with the
+ * relaxed load + store the out-of-line bump uses: no RMW and no shared
+ * cache line, and the counters are bit-identical to the out-of-line
+ * path's at every observation point (asserted by tests/fastpath_test.cpp).
  *
  * Under VFT_SCHED every shared access must pass through the announce/park
  * seam, which the inline path bypasses by design; the try-functions
@@ -80,6 +78,16 @@ static inline int vft_fastpath_try_write(const void* addr, size_t size) {
 
 #else /* !VFT_SCHED */
 
+/* Credit one inline hit to both counters of a rule pair. The counters
+ * live in the arming thread's own shard, so this thread is their only
+ * writer and a relaxed load + store is exact. */
+static inline void vft_fastpath_count(uint64_t* const pair[2]) {
+  __atomic_store_n(pair[0], __atomic_load_n(pair[0], __ATOMIC_RELAXED) + 1,
+                   __ATOMIC_RELAXED);
+  __atomic_store_n(pair[1], __atomic_load_n(pair[1], __ATOMIC_RELAXED) + 1,
+                   __ATOMIC_RELAXED);
+}
+
 /* Shared prologue: descriptor liveness, sampling countdown, and the cell
  * lookup. Returns 1 when the access was fully resolved inline. `is_write`
  * is a compile-time constant at every call site, so the branch folds. */
@@ -117,10 +125,10 @@ static inline int vft_fastpath_try_access(const void* addr, size_t size,
     if ((uint32_t)cell != e || (uint32_t)(cell >> 32) == 0xFFFFFFFFu) {
       return 0;
     }
-    fp->hit_writes++;
+    vft_fastpath_count(fp->rule_write);
   } else {
     if ((uint32_t)(cell >> 32) != e) return 0;
-    fp->hit_reads++;
+    vft_fastpath_count(fp->rule_read);
   }
   return 1;
 }

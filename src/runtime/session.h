@@ -14,10 +14,11 @@
 // The detector D is fixed for the whole process but selectable at launch
 // (VFT_DETECTOR environment variable, or Session::configure before first
 // use): the ABI entry points are plain C functions, so the detector
-// dispatch happens once per event through SessionBackend's vtable instead
-// of per call-site templates. bench_hotpath's `abi_dispatch` section
-// tracks exactly what that indirection costs against the inlined wrapper
-// path.
+// dispatch happens at run time instead of per call-site templates. Access
+// and atomic events pay one indirect call through the devirtualized
+// EntryTable; lifecycle and lock events take SessionBackend's vtable.
+// bench_hotpath's `abi_dispatch` section tracks what that indirection
+// costs against the inlined wrapper path.
 //
 // Implicit thread lifecycle: any thread is attached on its first event
 // (OS-thread identity lives in Registry's thread_local binding). Threads
@@ -82,9 +83,11 @@ struct EntryTable {
   std::uint64_t generation = 0;
 };
 
-/// The detector-erased session surface. One virtual hop per event; the
-/// handlers behind it are the same template-inlined fast paths the
-/// wrappers use.
+/// The detector-erased session surface: lifecycle, locks, introspection,
+/// and the fallback for the access and atomic events, which normally go
+/// through the EntryTable instead (the C ABI takes a virtual hop here only
+/// before the table is published or while it is stale). The handlers
+/// behind it are the same template-inlined fast paths the wrappers use.
 class SessionBackend {
  public:
   virtual ~SessionBackend() = default;
@@ -200,19 +203,6 @@ class SessionImpl final : public SessionBackend {
       // of the descriptor and the cell half stays disarmed.
       fastpath_arm_ =
           gate_ == nullptr && stats != nullptr && fastpath_env_enabled();
-      if (stats != nullptr) {
-        static_assert(sizeof(std::atomic<std::uint64_t>) ==
-                      sizeof(std::uint64_t));
-        static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
-        rule_read_hit_[0] = reinterpret_cast<std::uint64_t*>(
-            stats->counter_addr(Rule::kReadSameEpoch));
-        rule_read_hit_[1] = reinterpret_cast<std::uint64_t*>(
-            stats->counter_addr(Rule::kFastReadHit));
-        rule_write_hit_[0] = reinterpret_cast<std::uint64_t*>(
-            stats->counter_addr(Rule::kWriteSameEpoch));
-        rule_write_hit_[1] = reinterpret_cast<std::uint64_t*>(
-            stats->counter_addr(Rule::kFastWriteHit));
-      }
     }
   }
 
@@ -389,11 +379,7 @@ class SessionImpl final : public SessionBackend {
   /// stays live until its join handler has consumed the final clock.
   void detach() override {
     // The descriptor's epoch/cell pointers die with this binding; its tid
-    // slot may be recycled by a later thread. Pending inline-hit tallies
-    // are credited first - detach is a quiescent observation point.
-    if (vft_tl_fastpath.gen == entries_.generation) {
-      vft_fastpath_flush_hits(&vft_tl_fastpath);
-    }
+    // slot may be recycled by a later thread.
     vft_tl_fastpath = vft_fastpath_s{};
     SessionTls& tls = tl_session;
     if (tls.generation == generation_ && tls.record != nullptr) {
@@ -430,12 +416,7 @@ class SessionImpl final : public SessionBackend {
   /// Must be the child's first action (the interposer's thread trampoline
   /// guarantees it).
   void thread_begin(std::uint64_t token) override {
-    // A fresh binding must not inherit a descriptor. Tallies a previous
-    // same-OS-thread binding left behind are still credited (the rule
-    // pointers outlive bindings - they target the Session's RuleStats).
-    if (vft_tl_fastpath.gen == entries_.generation) {
-      vft_fastpath_flush_hits(&vft_tl_fastpath);
-    }
+    // A fresh binding must not inherit a descriptor.
     vft_tl_fastpath = vft_fastpath_s{};
     if (token == 0) {
       tl_session = SessionTls{nullptr, generation_, /*unmonitored=*/true};
@@ -554,11 +535,13 @@ class SessionImpl final : public SessionBackend {
 
   /// Arm the calling thread's header-inlined descriptor
   /// (vft/fastpath_ctx.h) for the page just accessed: cache the epoch
-  /// pointer, the page's cell array, and the rule counters, then
-  /// generation-stamp the descriptor live. Called after the access, so
-  /// a same-address follow-up resolves inline against the {R, W} this
-  /// access just recorded. Cheap re-arm check first: same page, same
-  /// thread binding, still-live generation.
+  /// pointer and the page's cell array, then generation-stamp the
+  /// descriptor live. Called after the access, so a same-address
+  /// follow-up resolves inline against the {R, W} this access just
+  /// recorded. Cheap re-arm check first: same page, same thread binding,
+  /// still-live generation. The rule pointers target this thread's own
+  /// RuleStats shard; they are fetched only when the descriptor was not
+  /// live for this backend, since a live one already holds them.
   void arm_fastpath(ThreadState& ts, const void* addr) {
     if (!fastpath_arm_) return;
     vft_fastpath_s& fp = vft_tl_fastpath;
@@ -569,24 +552,28 @@ class SessionImpl final : public SessionBackend {
       return;
     }
     if constexpr (SpillableVarState<typename D::VarState>) {
-      if (fp.gen == entries_.generation) {
-        // Page-switch re-arm: credit pending tallies before the rewrite.
-        vft_fastpath_flush_hits(&fp);
-      } else {
-        // Stale descriptor from an older backend: its tallies were accrued
-        // against counters that have since been reset - drop them.
-        fp.hit_reads = 0;
-        fp.hit_writes = 0;
+      if (fp.gen != entries_.generation) {
+        RuleStats* s = rt_.tool().stats();
+        std::atomic<std::uint64_t>* c[4] = {
+            s->thread_counter(Rule::kReadSameEpoch),
+            s->thread_counter(Rule::kFastReadHit),
+            s->thread_counter(Rule::kWriteSameEpoch),
+            s->thread_counter(Rule::kFastWriteHit)};
+        // An overflow thread shares its shard; it stays on the slow path.
+        if (c[0] == nullptr) return;
+        static_assert(sizeof(std::atomic<std::uint64_t>) ==
+                      sizeof(std::uint64_t));
+        static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
+        fp.rule_read[0] = reinterpret_cast<std::uint64_t*>(c[0]);
+        fp.rule_read[1] = reinterpret_cast<std::uint64_t*>(c[1]);
+        fp.rule_write[0] = reinterpret_cast<std::uint64_t*>(c[2]);
+        fp.rule_write[1] = reinterpret_cast<std::uint64_t*>(c[3]);
       }
       fp.epoch_addr = ts.epoch_bits_addr();
       fp.page_base = base;
       fp.cells = rt_.packed_space().page_cells(base);
       fp.drop_countdown = 0;
       fp.drop_pending = 0;
-      fp.rule_read[0] = rule_read_hit_[0];
-      fp.rule_read[1] = rule_read_hit_[1];
-      fp.rule_write[0] = rule_write_hit_[0];
-      fp.rule_write[1] = rule_write_hit_[1];
       // entries_.generation snapshots the global at backend creation; if
       // a reset bumped the global since, this stamp leaves the descriptor
       // stale and the inline path keeps falling through - correct, since
@@ -698,8 +685,6 @@ class SessionImpl final : public SessionBackend {
   const bool drop_mode_;
   EntryTable entries_;
   bool fastpath_arm_ = false;  ///< ungated + stats + env allow arming
-  std::uint64_t* rule_read_hit_[2] = {nullptr, nullptr};
-  std::uint64_t* rule_write_hit_[2] = {nullptr, nullptr};
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, ThreadRecord> records_;

@@ -52,6 +52,7 @@
 
 #include "vft/detector.h"
 #include "vft/packed_cell.h"
+#include "vft/shard.h"
 #include "vft/vc_simd.h"
 
 namespace vft::rt {
@@ -192,9 +193,7 @@ class PageDirectory {
   std::size_t collisions() const {
     return collisions_.load(std::memory_order_relaxed);
   }
-  std::size_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
+  std::size_t cache_misses() const { return cache_misses_.sum(0); }
 
  private:
   /// One-entry per-thread lookup cache (per PageT instantiation).
@@ -214,7 +213,7 @@ class PageDirectory {
   __attribute__((noinline, cold))
 #endif
   PageT& page_miss(std::uintptr_t base) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    cache_misses_.add(0);
     std::atomic<PageT*>& head = buckets_[Geometry::bucket_of(base)];
     PageT* p = head.load(std::memory_order_acquire);
     while (p != nullptr && p->base != base) {
@@ -256,7 +255,9 @@ class PageDirectory {
   std::unique_ptr<std::atomic<PageT*>[]> buckets_;
   std::atomic<std::size_t> pages_{0};
   std::atomic<std::size_t> collisions_{0};
-  std::atomic<std::size_t> cache_misses_{0};
+  /// Bumped on nearly every miss-path lookup, so it is sharded per
+  /// thread; the rare-event counters above stay plain atomics.
+  shard::ShardedCounters<1> cache_misses_;
 };
 
 template <Detector D>

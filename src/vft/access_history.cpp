@@ -8,7 +8,34 @@ namespace vft::history {
 thread_local std::uint32_t tl_access_size = 0;
 
 namespace {
+
 std::atomic<AccessHistory*> g_active{nullptr};
+std::atomic<std::uint64_t> g_next_history_id{1};
+
+/// One entry of the per-thread intern cache: a stack the owning history's
+/// StackTable already interned, and its id. owner 0 = empty.
+struct InternCacheEntry {
+  std::uint64_t owner = 0;
+  std::uint32_t id = 0;
+  CallStack stack;
+};
+
+/// Direct-mapped, indexed by a cheap word-wise hash of the frames (the
+/// table's byte-wise FNV runs only on a miss). 16 entries cover the few
+/// hot access sites of a loop nest; the full-stack compare makes a hit
+/// exact.
+constexpr std::size_t kInternCacheLog2 = 4;
+constinit thread_local InternCacheEntry
+    tl_intern_cache[std::size_t{1} << kInternCacheLog2];
+
+InternCacheEntry& intern_cache_slot(const CallStack& cs) {
+  std::uint64_t h = cs.depth;
+  for (std::uint8_t i = 0; i < cs.depth; ++i) {
+    h = (h ^ cs.pc[i]) * 0x9E3779B97F4A7C15ull;
+  }
+  return tl_intern_cache[h >> (64 - kInternCacheLog2)];
+}
+
 }  // namespace
 
 AccessHistory* active() { return g_active.load(std::memory_order_acquire); }
@@ -60,13 +87,30 @@ std::size_t StackTable::size() const {
   return stacks_.size();
 }
 
+AccessHistory::AccessHistory()
+    : id_(g_next_history_id.fetch_add(1, std::memory_order_relaxed)) {}
+
+std::uint32_t AccessHistory::intern(const CallStack& cs) {
+  if (cs.empty()) return 0;
+  InternCacheEntry& e = intern_cache_slot(cs);
+  if (e.owner == id_ && e.stack == cs) return e.id;
+  const std::uint32_t sid = stacks_.intern(cs);
+  // Only real ids are cached: a full table must keep counting its drops.
+  if (sid != 0) {
+    e.owner = id_;
+    e.id = sid;
+    e.stack = cs;
+  }
+  return sid;
+}
+
 void AccessHistory::record(std::uint64_t var, Tid tid, Epoch epoch,
                            AccessKind kind, std::uint16_t size,
                            const CallStack& stack) {
-  // Intern outside the shard lock: interning takes the (distinct) table
-  // lock and may compare frame arrays, which has no business serializing
-  // unrelated variables.
-  const std::uint32_t sid = stacks_.intern(stack);
+  // Intern outside the shard lock: a cache miss takes the (distinct)
+  // table lock and may compare frame arrays, which has no business
+  // serializing unrelated variables.
+  const std::uint32_t sid = intern(stack);
   Entry e;
   e.stack_id = sid;
   e.epoch = epoch;
@@ -87,7 +131,16 @@ void AccessHistory::record(std::uint64_t var, Tid tid, Epoch epoch,
     it = s.rings.emplace(var, Ring{}).first;
   }
   it->second.push(e);
-  recorded_.fetch_add(1, std::memory_order_relaxed);
+  ++s.recorded;
+}
+
+std::uint64_t AccessHistory::recorded() const {
+  std::uint64_t n = 0;
+  for (const Shard& s : shards_) {
+    std::lock_guard<std::mutex> lk(s.mu);
+    n += s.recorded;
+  }
+  return n;
 }
 
 void AccessHistory::record_current(std::uint64_t var, Tid tid, Epoch epoch,

@@ -13,7 +13,10 @@
 //   - recording happens ONLY on the slow path: a same-epoch packed-cell
 //     hit and a sampled-out access never reach note_access();
 //   - stacks are hash-consed into a bounded intern table, so the ring
-//     entry is 16 bytes and repeated sites cost one hash lookup;
+//     entry is 16 bytes; a per-thread direct-mapped cache in front of the
+//     table resolves a repeated site with no lock and no shared write;
+//   - the recorded-access count lives in the per-variable map shards and
+//     is bumped under the shard lock the ring push already holds;
 //   - both the ring count per variable (kRingCapacity) and the total
 //     tracked variables / interned stacks are hard-bounded; overflow is
 //     counted and degrades to "no prior stack", never to growth.
@@ -127,6 +130,8 @@ class AccessHistory {
   /// variables are dropped (counted), existing rings keep recording.
   static constexpr std::size_t kMaxVars = std::size_t{1} << 20;
 
+  AccessHistory();
+
   /// Record one slow-path access with an explicit stack (tests, replay).
   void record(std::uint64_t var, Tid tid, Epoch epoch, AccessKind kind,
               std::uint16_t size, const CallStack& stack);
@@ -152,7 +157,8 @@ class AccessHistory {
   /// Drop all rings (stack interning survives; ids stay valid).
   void clear();
 
-  std::uint64_t recorded() const { return recorded_.load(std::memory_order_relaxed); }
+  /// Accesses recorded so far (folded over the map shards).
+  std::uint64_t recorded() const;
   std::uint64_t var_drops() const { return var_drops_.load(std::memory_order_relaxed); }
   std::uint64_t stack_drops() const { return stacks_.dropped(); }
   std::size_t interned_stacks() const { return stacks_.size(); }
@@ -161,7 +167,11 @@ class AccessHistory {
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, Ring> rings;
+    std::uint64_t recorded = 0;  ///< pushes into this shard's rings
   };
+
+  /// StackTable::intern behind the calling thread's intern cache.
+  std::uint32_t intern(const CallStack& cs);
 
   Shard& shard_of(std::uint64_t var) {
     return shards_[(var >> 3) & (kShards - 1)];
@@ -170,10 +180,13 @@ class AccessHistory {
     return shards_[(var >> 3) & (kShards - 1)];
   }
 
+  /// Unique per instance and never reused: tags this instance's entries
+  /// in the per-thread intern caches, so a cached id can never be
+  /// returned by a later AccessHistory (e.g. after history::install).
+  const std::uint64_t id_;
   Shard shards_[kShards];
   StackTable stacks_;
   std::atomic<std::size_t> var_count_{0};
-  std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> var_drops_{0};
 };
 

@@ -13,9 +13,13 @@
  * per-thread teardown is needed. `epoch_addr` points at the owning
  * thread's cached epoch (only the owner mutates it, so it is always
  * fresh); `cells` points at the packed-cell array of the shadow page
- * covering `page_base`; the rule pointers target the session's RuleStats
- * counters so an inline hit bumps exactly what the out-of-line path
- * would.
+ * covering `page_base`; the rule pointers target the arming thread's own
+ * shard of the session's RuleStats (vft/shard.h), so an inline hit bumps
+ * exactly the counters the out-of-line path would, with the same relaxed
+ * load + store and no write to a line another thread writes. No rule
+ * count is deferred: at any point the counters include every inline hit.
+ * The shard pointers stay valid while the thread keeps its counter slot;
+ * releasing the slot at thread exit clears the descriptor.
  *
  * Drop-policy sampling rides the same descriptor: `drop_countdown` holds
  * the remaining geometric skips handed out by Gate::admit_and_refill, and
@@ -44,33 +48,9 @@ typedef struct vft_fastpath_s {
   const uint64_t* cells;      /* packed cells of the cached shadow page */
   uint64_t drop_countdown;    /* drop-policy skips remaining (0 = sample) */
   uint64_t drop_pending;      /* inline skips not yet flushed to the gate */
-  uint64_t hit_reads;         /* inline read hits pending counter flush */
-  uint64_t hit_writes;        /* inline write hits pending counter flush */
-  uint64_t* rule_read[2];     /* counters credited with flushed read hits */
-  uint64_t* rule_write[2];    /* counters credited with flushed write hits */
+  uint64_t* rule_read[2];     /* own-shard counters a read hit bumps */
+  uint64_t* rule_write[2];    /* own-shard counters a write hit bumps */
 } vft_fastpath_s;
-
-/* Credit the descriptor's pending inline hits to the session's rule
- * counters (the same relaxed adds the out-of-line path performs, in bulk)
- * and zero them. The inline hit itself only increments the plain
- * thread-local tallies - a shared-counter RMW per access would cost more
- * than the dispatch it saves - so the runtime flushes here at every
- * slow-path entry, re-arm, and thread detach. At any point where the
- * descriptor is quiescent the counters are bit-identical to the
- * out-of-line path's. Callers must have validated `gen` (stale pointers
- * are never dereferenced; a cleared descriptor has zero tallies). */
-static inline void vft_fastpath_flush_hits(vft_fastpath_s* fp) {
-  if (fp->hit_reads != 0) {
-    __atomic_fetch_add(fp->rule_read[0], fp->hit_reads, __ATOMIC_RELAXED);
-    __atomic_fetch_add(fp->rule_read[1], fp->hit_reads, __ATOMIC_RELAXED);
-    fp->hit_reads = 0;
-  }
-  if (fp->hit_writes != 0) {
-    __atomic_fetch_add(fp->rule_write[0], fp->hit_writes, __ATOMIC_RELAXED);
-    __atomic_fetch_add(fp->rule_write[1], fp->hit_writes, __ATOMIC_RELAXED);
-    fp->hit_writes = 0;
-  }
-}
 
 extern VFT_FASTPATH_TLS vft_fastpath_s vft_tl_fastpath;
 

@@ -4,15 +4,16 @@
 //
 // Every detector carries an optional RuleStats pointer; when unset (the
 // default, and the Table 1 configuration) the only cost is one predictable
-// branch per handler exit. When set, counters are relaxed atomics so that
-// inline handlers in different target threads can bump them without
-// synchronizing.
+// branch per handler exit. When set, counters are per-thread shards
+// (vft/shard.h): each target thread bumps its own cache line with a
+// relaxed load + store, and count() folds the shards.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
+
+#include "vft/shard.h"
 
 namespace vft {
 
@@ -99,43 +100,43 @@ class RuleStats {
  public:
   static constexpr std::size_t kN = static_cast<std::size_t>(Rule::kNumRules);
 
-  void bump(Rule r) {
-    counts_[static_cast<std::size_t>(r)].fetch_add(1, std::memory_order_relaxed);
-  }
+  void bump(Rule r) { counts_.add(static_cast<std::size_t>(r)); }
 
-  /// Bulk bump: n observations of the same rule in one relaxed add. Used by
-  /// the SIMD range kernels, which resolve a whole prefix of cells at once.
+  /// Bulk bump: n observations of the same rule in one add. Used by the
+  /// SIMD range kernels, which resolve a whole prefix of cells at once.
   void bump(Rule r, std::uint64_t n) {
-    counts_[static_cast<std::size_t>(r)].fetch_add(n, std::memory_order_relaxed);
+    counts_.add(static_cast<std::size_t>(r), n);
   }
 
-  /// Address of a rule's counter, for the header-inlined ABI fast path: the
-  /// inline hit bumps the counter through this pointer (same relaxed
-  /// fetch_add the out-of-line path performs), keeping the fast/slow paths
-  /// bit-identical on every counter without a flush protocol.
-  std::atomic<std::uint64_t>* counter_addr(Rule r) {
-    return &counts_[static_cast<std::size_t>(r)];
+  /// The calling thread's own counter for `r`, for the header-inlined ABI
+  /// fast path: an inline hit bumps it with the same relaxed load + store
+  /// bump() performs, so the fast and slow paths stay bit-identical on
+  /// every counter. nullptr when the thread has no shard of its own.
+  std::atomic<std::uint64_t>* thread_counter(Rule r) {
+    return counts_.local(static_cast<std::size_t>(r));
   }
 
   std::uint64_t count(Rule r) const {
-    return counts_[static_cast<std::size_t>(r)].load(std::memory_order_relaxed);
+    return counts_.sum(static_cast<std::size_t>(r));
   }
 
   /// Total read+write accesses (excludes sync operations).
   std::uint64_t total_accesses() const {
     std::uint64_t n = 0;
     for (std::size_t i = 0; i <= static_cast<std::size_t>(Rule::kSharedWriteRace); ++i) {
-      n += counts_[i].load(std::memory_order_relaxed);
+      n += counts_.sum(i);
     }
     return n;
   }
 
-  void reset() {
-    for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  }
+  /// Zero every counter; only while no thread is bumping.
+  void reset() { counts_.reset(); }
+
+  /// Per-thread shards allocated so far (bounded by peak live threads).
+  std::size_t shards() const { return counts_.shards(); }
 
  private:
-  std::array<std::atomic<std::uint64_t>, kN> counts_{};
+  shard::ShardedCounters<kN> counts_;
 };
 
 }  // namespace vft

@@ -1,6 +1,7 @@
 // Unit tests for the bounded per-variable access history
-// (vft/access_history.h): ring wraparound, stack interning, tid-slot
-// reuse safety, range reset, the shadow-stack fallback in
+// (vft/access_history.h): ring wraparound, stack interning and its
+// per-thread cache, exact recorded() counts under concurrent recorders,
+// tid-slot reuse safety, range reset, the shadow-stack fallback in
 // capture_event_stack (prior-side capture with no armed boundary), the
 // detector-level prior-stack lookup, and rule-counter parity with the
 // history layer on vs off.
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "vft/access_history.h"
@@ -215,6 +217,80 @@ TEST(AccessHistory, ResetRangeDropsCoveredVarsOnly) {
       h.find(inside, Epoch::make(1, 2), history::AccessKind::kWrite, &e));
   EXPECT_TRUE(
       h.find(outside, Epoch::make(1, 3), history::AccessKind::kWrite, &e));
+}
+
+// The per-thread intern cache is tagged with the owning history's
+// instance id, so a stack cached for a replaced instance interns afresh in
+// the new table - even when the new instance reuses the old address.
+TEST(AccessHistory, InternCacheNeverOutlivesItsInstance) {
+  using history::AccessKind;
+  history::AccessHistory* const prev = history::active();
+  const CallStack s0 = stack_of({0x7000});
+  const CallStack s1 = stack_of({0x7100, 0x7200});
+  history::Entry e;
+
+  auto* old_h = new history::AccessHistory();
+  history::install(old_h);
+  old_h->record(0x100, 0, Epoch::make(0, 1), AccessKind::kWrite, 8, s0);
+  for (std::uint32_t c = 2; c < 5; ++c) {  // first a miss, then cache hits
+    old_h->record(0x108, 0, Epoch::make(0, c), AccessKind::kWrite, 8, s1);
+    ASSERT_TRUE(
+        old_h->find(0x108, Epoch::make(0, c), AccessKind::kWrite, &e));
+    EXPECT_EQ(e.stack_id, 2u);
+  }
+  EXPECT_EQ(old_h->interned_stacks(), 2u);
+  delete old_h;
+
+  auto* fresh = new history::AccessHistory();
+  history::install(fresh);
+  fresh->record(0x108, 0, Epoch::make(0, 9), AccessKind::kWrite, 8, s1);
+  ASSERT_TRUE(fresh->find(0x108, Epoch::make(0, 9), AccessKind::kWrite, &e));
+  EXPECT_EQ(e.stack_id, 1u);  // never the old instance's id 2
+  CallStack cs;
+  ASSERT_TRUE(fresh->stack_of(e.stack_id, &cs));
+  EXPECT_EQ(cs, s1);
+  EXPECT_EQ(fresh->interned_stacks(), 1u);
+  history::install(prev);
+  delete fresh;
+}
+
+// recorded() folds the per-map-shard counts: every push from every
+// recorder thread is counted exactly, and the intern caches of all
+// threads agree with the one table.
+TEST(AccessHistory, RecordedCountsEveryPushFromAllThreads) {
+  constexpr int kThreads = 4;
+  constexpr std::uint32_t kPerThread = 5000;
+  constexpr std::uintptr_t kSites = 8;
+  history::AccessHistory h;
+  auto site = [](int t, std::uint32_t i) {
+    return stack_of({0x9000 + 16 * (i % kSites),
+                     0xa000 + 16 * static_cast<std::uintptr_t>(t)});
+  };
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&h, &site, t] {
+      for (std::uint32_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t var = 0x40000 + 8 * (t * 64 + i % 64);
+        h.record(var, static_cast<Tid>(t),
+                 Epoch::make(static_cast<Tid>(t), i + 1),
+                 history::AccessKind::kRead, 8, site(t, i));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(h.recorded(), std::uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(h.interned_stacks(), kThreads * kSites);
+  EXPECT_EQ(h.stack_drops(), 0u);
+  for (int t = 0; t < kThreads; ++t) {
+    const std::uint32_t i = kPerThread - 1;
+    history::Entry e;
+    ASSERT_TRUE(h.find(0x40000 + 8 * (t * 64 + i % 64),
+                       Epoch::make(static_cast<Tid>(t), i + 1),
+                       history::AccessKind::kRead, &e));
+    CallStack cs;
+    ASSERT_TRUE(h.stack_of(e.stack_id, &cs));
+    EXPECT_EQ(cs, site(t, i));
+  }
 }
 
 TEST(AccessHistory, EnvDefaultOnExplicitOff) {

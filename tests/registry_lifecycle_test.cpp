@@ -94,7 +94,7 @@ TEST(RegistryLifecycle, LiveCountTracksChurn) {
   Registry reg;
   ThreadState& main_ts = reg.create();
   EXPECT_EQ(reg.live_count(), 1u);
-  for (int round = 0; round < 3 * (Epoch::kMaxTid + 1); ++round) {
+  for (unsigned round = 0; round < 3 * (Epoch::kMaxTid + 1u); ++round) {
     ThreadState* worker = reg.try_create();
     ASSERT_NE(worker, nullptr);
     EXPECT_EQ(reg.live_count(), 2u);

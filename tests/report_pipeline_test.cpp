@@ -126,10 +126,10 @@ TEST(RaceCollector, SuppressionHidesButCounts) {
   EXPECT_EQ(c.suppression_rule_count(), 1u);
   for (int i = 0; i < 4; ++i) {
     c.report(RaceReport{RaceKind::kWriteWrite, 7, 2, Epoch::make(1, 5),
-                        Epoch::make(2, 3), {}});
+                        Epoch::make(2, 3), {}, {}});
   }
   c.report(RaceReport{RaceKind::kReadWrite, 7, 2, Epoch::make(1, 5),
-                      Epoch::make(2, 3), {}});
+                      Epoch::make(2, 3), {}, {}});
   EXPECT_EQ(c.count(), 1u);       // only the read-write context is visible
   EXPECT_EQ(c.suppressed(), 4u);  // ...but every hidden occurrence counted
   EXPECT_FALSE(c.empty());        // suppressed races still mean "racy run"
@@ -181,7 +181,7 @@ ReportDoc doc_from_collector(RaceCollector& c, bool clean = true) {
 }
 
 RaceReport rep(RaceKind k, std::uint64_t var, std::uintptr_t pc = 0) {
-  RaceReport r{k, var, 2, Epoch::make(1, 5), Epoch::make(2, 3), {}};
+  RaceReport r{k, var, 2, Epoch::make(1, 5), Epoch::make(2, 3), {}, {}};
   if (pc != 0) r.stack.push(pc);
   return r;
 }

@@ -16,7 +16,7 @@ namespace vft {
 namespace {
 
 RaceReport sample(RaceKind k, std::uint64_t var) {
-  return RaceReport{k, var, 2, Epoch::make(1, 5), Epoch::make(2, 3), {}};
+  return RaceReport{k, var, 2, Epoch::make(1, 5), Epoch::make(2, 3), {}, {}};
 }
 
 TEST(RaceCollector, StartsEmpty) {

@@ -1,9 +1,13 @@
 // Rule-frequency accounting: the machinery behind experiment E3 (the
-// Section 5 access-mix claim). Checks exact counts on hand traces and the
-// fast-path dominance property on a read-shared workload.
+// Section 5 access-mix claim). Checks exact counts on hand traces, the
+// fast-path dominance property on a read-shared workload, and exact folds
+// of the per-thread counter shards.
 #include "vft/stats.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "trace/replay.h"
 #include "trace/trace.h"
@@ -95,6 +99,53 @@ TEST(RuleStats, ReadSharedWorkloadIsFastPathDominated) {
                              stats.count(Rule::kWriteSameEpoch);
   const std::uint64_t total = stats.total_accesses();
   EXPECT_GT(static_cast<double>(fast) / static_cast<double>(total), 0.9);
+}
+
+// Per-thread shards: concurrent bumpers never share a counter line, and
+// the fold after join is exact for the single and the bulk form.
+TEST(RuleStats, ShardedCountsExactAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kBumps = 20000;
+  RuleStats stats;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&stats] {
+      for (std::uint64_t i = 0; i < kBumps; ++i) {
+        for (std::size_t r = 0; r < RuleStats::kN; ++r) {
+          stats.bump(static_cast<Rule>(r));
+        }
+      }
+      stats.bump(Rule::kFastReadHit, 7);
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (std::size_t r = 0; r < RuleStats::kN; ++r) {
+    const Rule rule = static_cast<Rule>(r);
+    const std::uint64_t bulk = rule == Rule::kFastReadHit ? 7 : 0;
+    EXPECT_EQ(stats.count(rule), kThreads * (kBumps + bulk))
+        << rule_name(rule);
+  }
+  EXPECT_GE(stats.shards(), 1u);
+  EXPECT_LE(stats.shards(), static_cast<std::size_t>(kThreads));
+}
+
+// thread_counter() hands out the calling thread's own shard slot: bumps
+// through it fold like bump() does, and another thread gets another line.
+TEST(RuleStats, ThreadCounterIsTheCallingThreadsShard) {
+  RuleStats stats;
+  std::atomic<std::uint64_t>* mine = stats.thread_counter(Rule::kFastWriteHit);
+  ASSERT_NE(mine, nullptr);
+  mine->store(mine->load(std::memory_order_relaxed) + 3,
+              std::memory_order_relaxed);
+  stats.bump(Rule::kFastWriteHit);
+  EXPECT_EQ(stats.count(Rule::kFastWriteHit), 4u);
+  std::atomic<std::uint64_t>* theirs = nullptr;
+  std::thread([&] {
+    theirs = stats.thread_counter(Rule::kFastWriteHit);
+    stats.bump(Rule::kFastWriteHit, 2);
+  }).join();
+  EXPECT_NE(theirs, mine);
+  EXPECT_EQ(stats.count(Rule::kFastWriteHit), 6u);
 }
 
 }  // namespace

@@ -39,6 +39,9 @@ void churn_sequential() {
   EXPECT_LE(rt.registry().slots_in_use(), Epoch::kMaxTid + 1u);
   EXPECT_LE(rt.registry().slots_in_use(), 2u);
   EXPECT_EQ(rt.registry().live_count(), 1u);
+  // Counter shards follow the same bound: exited threads' shards are
+  // recycled, not accumulated.
+  EXPECT_LE(stats.shards(), 2u);
 }
 
 template <Detector D>
@@ -69,6 +72,7 @@ void churn_windowed() {
   EXPECT_LE(rt.registry().slots_in_use(),
             static_cast<std::size_t>(kWindow) + 1u);
   EXPECT_EQ(rt.registry().live_count(), 1u);
+  EXPECT_LE(stats.shards(), static_cast<std::size_t>(kWindow) + 1u);
 }
 
 TEST(TidChurn, SequentialForkJoinAcrossAllDetectors) {
@@ -87,6 +91,42 @@ TEST(TidChurn, WindowedForkJoinAcrossAllDetectors) {
   churn_windowed<FtMutex>();
   churn_windowed<FtCas>();
   churn_windowed<Djit>();
+}
+
+// 1,000 sequential short-lived threads: each one bumps the rule counters
+// (fork, join, its two accesses) and the shadow page directory's miss
+// counter from its own shard, then exits. The shard footprint stays at the
+// peak live population (main + one worker) and the folded counts are
+// exact, because a recycled shard keeps its counts.
+TEST(TidChurn, CounterShardsBoundedByPeakLiveThreads) {
+  constexpr int kThreads = 1000;
+  RaceCollector races;
+  RuleStats stats;
+  Runtime<VftV2> rt{VftV2(&races, &stats)};
+  Runtime<VftV2>::MainScope scope(rt);
+  Var<long, VftV2> shared(rt, 0);
+  ShadowSpace<VftV2>& space = rt.shadow_space();
+  static long words[2 * ShadowGeometry::kPageSpan / sizeof(long)];
+  const std::size_t misses0 = space.stats().cache_misses;
+  const std::uint64_t accesses0 = stats.total_accesses();
+  for (int i = 0; i < kThreads; ++i) {
+    Thread<VftV2> t(rt, [&] {
+      shared.store(shared.load() + 1);
+      // Two distinct pages, and a fresh thread's one-entry page cache is
+      // empty: exactly two misses per thread.
+      rt.tool().read(*Registry::current(), space.of(&words[0]));
+      rt.tool().read(*Registry::current(),
+                     space.of(&words[ShadowGeometry::kPageSpan / sizeof(long)]));
+    });
+    t.join();
+  }
+  EXPECT_TRUE(races.empty());
+  EXPECT_EQ(shared.raw(), kThreads);
+  EXPECT_EQ(stats.count(Rule::kFork), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(stats.count(Rule::kJoin), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(stats.total_accesses() - accesses0, 4u * kThreads);
+  EXPECT_EQ(space.stats().cache_misses - misses0, 2u * kThreads);
+  EXPECT_LE(stats.shards(), 2u);
 }
 
 }  // namespace

@@ -38,8 +38,12 @@ TEST_P(VcAlgebra, LeqIsReflexiveAndAntisymmetricAndTransitive) {
     const VectorClock b = random_vc(rng, 20, 6);
     const VectorClock c = random_vc(rng, 20, 6);
     EXPECT_TRUE(a.leq(a));
-    if (a.leq(b) && b.leq(a)) EXPECT_TRUE(a == b);
-    if (a.leq(b) && b.leq(c)) EXPECT_TRUE(a.leq(c));
+    if (a.leq(b) && b.leq(a)) {
+      EXPECT_TRUE(a == b);
+    }
+    if (a.leq(b) && b.leq(c)) {
+      EXPECT_TRUE(a.leq(c));
+    }
   }
 }
 
@@ -102,7 +106,9 @@ TEST_P(VcAlgebra, IncIsStrictlyIncreasingInOneComponent) {
     EXPECT_FALSE(a.leq(before));
     EXPECT_EQ(a.get(t), before.get(t).inc());
     for (Tid u = 0; u < 10; ++u) {
-      if (u != t) EXPECT_EQ(a.get(u), before.get(u));
+      if (u != t) {
+        EXPECT_EQ(a.get(u), before.get(u));
+      }
     }
   }
 }
