@@ -7,10 +7,6 @@
 //                     the speedup of each SIMD variant over scalar on the
 //                     same inputs. Acceptance: AVX2 >= 1.5x scalar on the
 //                     64-slot join/leq rows.
-//   shadow_cache      ShadowSpace::of() (thread-local page cache) vs
-//                     of_uncached() (hash + chain walk every lookup) on a
-//                     sequential sweep, 1..max threads, at both a
-//                     cache-resident and a >= 4 MiB-shadow working set.
 //   packed_cell       ISSUE-3 A/B: same-epoch sweeps through the packed
 //                     64-bit cell fast path vs the ShadowSpace + detector
 //                     call path, small and >= 4 MiB-shadow working sets.
@@ -180,78 +176,7 @@ void vc_kernel_section(JsonReport& json, std::size_t scale) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: ShadowSpace lookup, page cache on vs off.
-// ---------------------------------------------------------------------------
-
-void shadow_cache_section(JsonReport& json, std::uint32_t max_threads,
-                          std::size_t scale) {
-  // Two access patterns bounding the cache's effect:
-  //   sweep   sequential pass over the buffer - one miss per 512-slot page;
-  //           the uncached path's bucket line is L1-hot too, so the win is
-  //           the skipped hash arithmetic + atomic load.
-  //   hammer  the same word over and over (a hot field / loop accumulator) -
-  //           the cache's target case: two compares vs the full hash+walk.
-  // Two working sets: 32K words (256 KiB shadow, cache-resident) and 512K
-  // words (>= 4 MiB of shadow, exceeding L2 on the reference container) so
-  // the page-cache win is measured both when the directory walk is
-  // cache-hot and when every page touch goes to memory.
-  std::printf("ShadowSpace lookup: of() [page cache] vs of_uncached()\n");
-  std::printf("%8s %8s %8s %14s %14s %9s %14s\n", "pattern", "words",
-              "threads", "cached ns/op", "uncached ns/op", "speedup",
-              "cache misses");
-  for (const std::size_t words : {std::size_t{32768}, std::size_t{1} << 19}) {
-  const std::size_t sweeps =
-      std::max<std::size_t>(1, 32 * scale / (words / 32768));
-  for (const bool hammer : {false, true}) {
-    for (std::uint32_t t = 1; t <= max_threads; t *= 2) {
-      std::vector<double> buf(words, 0.0);
-      RaceCollector races;
-      rt::Runtime<rt::NullTool> R{rt::NullTool(&races)};
-      rt::Runtime<rt::NullTool>::MainScope scope(R);
-      auto& space = R.shadow_space();
-
-      auto run = [&](bool cached) {
-        const auto t0 = std::chrono::steady_clock::now();
-        rt::parallel_for_threads(R, t, [&](std::uint32_t) {
-          std::uint64_t sink = 0;
-          for (std::size_t s = 0; s < sweeps; ++s) {
-            for (std::size_t i = 0; i < words; ++i) {
-              const void* p = hammer ? &buf[0] : &buf[i];
-              auto& vs = cached ? space.of(p) : space.of_uncached(p);
-              sink += reinterpret_cast<std::uintptr_t>(&vs);
-            }
-          }
-          g_sink.fetch_add(sink, std::memory_order_relaxed);
-        });
-        return now_minus(t0);
-      };
-
-      const double ops = static_cast<double>(t) * sweeps * words;
-      const double un = 1e9 * run(false) / ops;
-      const std::size_t misses0 = space.stats().cache_misses;
-      const double ca = 1e9 * run(true) / ops;
-      const std::size_t misses =
-          space.stats().cache_misses - misses0;  // misses in the cached run
-      const char* pat = hammer ? "hammer" : "sweep";
-      std::printf("%8s %7zuK %8u %14.2f %14.2f %8.2fx %14zu\n", pat,
-                  words / 1024, t, ca, un, un / ca, misses);
-      char name[48];
-      std::snprintf(name, sizeof(name), "%s_w%zuk_t%u", pat, words / 1024, t);
-      json.add("shadow_cache", name,
-               {{"cached_ns", ca},
-                {"uncached_ns", un},
-                {"speedup", un / ca},
-                {"cache_misses", static_cast<double>(misses)},
-                {"lookups", ops},
-                {"words", static_cast<double>(words)}});
-    }
-  }
-  }
-  std::printf("\n");
-}
-
-// ---------------------------------------------------------------------------
-// Section 2b: packed-cell same-epoch fast path vs detector-call path.
+// Section 2: packed-cell same-epoch fast path vs detector-call path.
 // ---------------------------------------------------------------------------
 
 /// Sweeps a pre-owned buffer through (a) PackedShadowSpace - the inlined
@@ -889,7 +814,6 @@ int main() {
   json.context("scale", std::to_string(scale));
 
   vc_kernel_section(json, scale);
-  shadow_cache_section(json, max_threads, scale);
   packed_section(json, scale);
   abi_section(json, scale);
   report_ctx_section(json, scale);

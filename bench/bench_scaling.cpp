@@ -9,8 +9,8 @@
 // Beyond the detector columns, two *mode* columns pin down where the
 // deployed stack sits relative to the inlined-wrapper ideal:
 //   abi     the same workload pushed through the C ABI's vft_read8
-//           (header-inlined fast path + devirtualized slow dispatch on
-//           the process-global session) - what an LD_PRELOADed binary
+//           (header-inlined fast path + virtual slow dispatch on the
+//           process-global session) - what an LD_PRELOADed binary
 //           actually pays;
 //   packed  the same workload on the packed-cell shadow space with the
 //           v2 tool (the out-of-line fast-path floor the ABI's inline
@@ -101,7 +101,7 @@ double run_read_shared_packed(std::uint32_t threads, std::uint32_t scale) {
 }
 
 /// Mode `abi`: the same sweep through vft_read8 on the process-global
-/// session - TLS descriptor, inline same-epoch path, devirtualized slow
+/// session - TLS descriptor, inline same-epoch path, virtual slow
 /// dispatch, reentrancy guard: the whole per-access interposition stack.
 /// Children are forked through the ABI token protocol so their reads are
 /// ordered after the parent's publishing writes (race-free).

@@ -9,8 +9,8 @@
 //
 //   $ ./detector_comparison              # sparse (read-shared-heavy)
 //   $ ./detector_comparison raytracer    # any kernel from the suite
-//   $ ./detector_comparison sor space    # grid shadow from the ShadowSpace
-//   $ ./detector_comparison lufact table # ... or the sharded hash table
+//   $ ./detector_comparison sor space     # grid shadow from the ShadowSpace
+//   $ ./detector_comparison lufact packed # ... or the packed 64-bit cells
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -55,9 +55,9 @@ void run_one(const char* kernel_name, ShadowBackend backend, Args&&... args) {
       std::printf("%-16s   shadow space: %s\n", "",
                   rt::str(R.shadow_space().stats()).c_str());
     }
-    if (R.has_shadow_table()) {
-      std::printf("%-16s   shadow table: entries=%zu\n", "",
-                  R.shadow_table().size());
+    if (R.has_packed_space()) {
+      std::printf("%-16s   packed space: %s\n", "",
+                  rt::str(R.packed_space().stats()).c_str());
     }
     return;
   }
@@ -90,12 +90,12 @@ int main(int argc, char** argv) {
   const char* kernel = argc > 1 ? argv[1] : "sparse";
   ShadowBackend backend = ShadowBackend::kInline;
   if (argc > 2) {
-    if (std::strcmp(argv[2], "table") == 0) {
-      backend = ShadowBackend::kTable;
-    } else if (std::strcmp(argv[2], "space") == 0) {
+    if (std::strcmp(argv[2], "space") == 0) {
       backend = ShadowBackend::kSpace;
+    } else if (std::strcmp(argv[2], "packed") == 0) {
+      backend = ShadowBackend::kPacked;
     } else if (std::strcmp(argv[2], "inline") != 0) {
-      std::fprintf(stderr, "unknown shadow backend %s (inline|table|space)\n",
+      std::fprintf(stderr, "unknown shadow backend %s (inline|space|packed)\n",
                    argv[2]);
       return 2;
     }
@@ -110,6 +110,6 @@ int main(int argc, char** argv) {
   run_one<FtCas>(kernel, backend);
   run_one<Djit>(kernel, backend);
   std::printf("\nSee bench_table1 for the full suite with warm-up and "
-              "repetition, bench_shadow for the backend lookup costs.\n");
+              "repetition.\n");
   return 0;
 }

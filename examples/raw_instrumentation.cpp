@@ -5,9 +5,11 @@
 // Whole-struct stores use the sized on_range_write - one event per shadow
 // word, the memcpy-annotation shape.
 //
-// The ambient session is backed by the lock-free two-level ShadowSpace
-// (word-granular, like TSan); the final stats line shows the shadow pages
-// the run materialized.
+// The ambient session shadows memory in the lock-free packed-cell space
+// (PackedShadowSpace: one 64-bit cell per 8-byte word, like TSan's word
+// granularity); the final stats line shows the shadow pages the run
+// materialized, and a run that materialized none exits nonzero - the
+// annotations would then have missed the session's shadow.
 //
 //   $ ./raw_instrumentation
 //
@@ -78,7 +80,13 @@ int main() {
   std::printf("book entries: %d (expected 40)\n", book.count);
   std::printf("tallies: %ld / %ld, hot_total: %ld\n", tallies[0], tallies[1],
               std::atomic_ref<long>(hot_total).load());
-  std::printf("shadow: %s\n", vft::rt::str(amb::shadow().stats()).c_str());
+  const vft::rt::ShadowSpaceStats shadow =
+      amb::runtime().packed_space().stats();
+  std::printf("shadow: %s\n", vft::rt::str(shadow).c_str());
+  if (shadow.pages == 0) {
+    std::printf("no shadow page materialized!\n");
+    return 1;
+  }
   std::printf("race reports: %zu\n", amb::races().count());
   for (const auto& r : amb::races().all()) {
     std::printf("  %s\n", amb::races().describe(r).c_str());

@@ -30,7 +30,6 @@ static_assert(VFT_FASTPATH_SLOT_MASK ==
 
 namespace {
 
-using vft::rt::ambient::EntryTable;
 using vft::rt::ambient::Session;
 using vft::rt::ambient::SessionBackend;
 
@@ -63,9 +62,7 @@ SessionBackend& backend() { return Session::instance().backend(); }
 ///     sampled-out accesses resolve entirely inline. Only the descriptor's
 ///     generation+countdown half is armed here - the cell half stays
 ///     disarmed under sampling so inline hits can't bypass the gate.
-///  3. Dispatch through the devirtualized entry table when its generation
-///     snapshot is current; fall back to the virtual backend otherwise
-///     (first event, mid-reset, or a table published under an older gen).
+///  3. Dispatch through the session backend's virtual entry.
 ///  4. Consume the event context exactly once, on the way out - the
 ///     single clear the whole access path performs (inline hits neither
 ///     read nor clear it).
@@ -84,25 +81,17 @@ void slow_access(const void* addr, size_t size, bool is_write,
       }
     }
   }
-  const EntryTable* t = Session::instance().entry_table();
-  if (t != nullptr && t->generation == gen) {
-    (is_range ? (is_write ? t->range_write : t->range_read)
-              : (is_write ? t->write : t->read))(t->self, addr, size);
-  } else {
-    SessionBackend& b = backend();
-    if (is_range) {
-      if (is_write) {
-        b.range_write(addr, size);
-      } else {
-        b.range_read(addr, size);
-      }
+  SessionBackend& b = backend();
+  if (is_range) {
+    if (is_write) {
+      b.range_write(addr, size);
     } else {
-      if (is_write) {
-        b.write(addr, size);
-      } else {
-        b.read(addr, size);
-      }
+      b.range_read(addr, size);
     }
+  } else if (is_write) {
+    b.write(addr, size);
+  } else {
+    b.read(addr, size);
   }
   vft_tl_event_ctx.pc = nullptr;
 }
@@ -110,23 +99,6 @@ void slow_access(const void* addr, size_t size, bool is_write,
 /// Clamp an untrusted morder from the target to the ABI range; anything
 /// out of range degrades to seq_cst (the conservative reading).
 int clamp_mo(int mo) { return mo >= 0 && mo <= 5 ? mo : 5; }
-
-/// Atomic sync dispatch: devirtualized entry table when its generation
-/// snapshot is current, virtual backend otherwise (same protocol as
-/// slow_access; atomics never route through the inline descriptor, so
-/// there is no descriptor re-sync to do here).
-void atomic_event(const void* addr, int mo,
-                  EntryTable::AtomicFn EntryTable::* slot,
-                  void (SessionBackend::*virt)(const void*, int)) {
-  mo = clamp_mo(mo);
-  const uint64_t gen = __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
-  const EntryTable* t = Session::instance().entry_table();
-  if (t != nullptr && t->generation == gen) {
-    (t->*slot)(t->self, addr, mo);
-  } else {
-    (backend().*virt)(addr, mo);
-  }
-}
 
 int write_report(const char* path, int json, int clean) {
   // Snapshot first, open the file second: on the crash path the document
@@ -264,42 +236,31 @@ void vft_range_write(const void* addr, size_t size) {
 void vft_atomic_load(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_load,
-               &SessionBackend::atomic_load);
+  backend().atomic_load(addr, clamp_mo(mo));
 }
 
 void vft_atomic_store(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_store,
-               &SessionBackend::atomic_store);
+  backend().atomic_store(addr, clamp_mo(mo));
 }
 
 void vft_atomic_rmw_pre(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_rmw_pre,
-               &SessionBackend::atomic_rmw_pre);
+  backend().atomic_rmw_pre(addr, clamp_mo(mo));
 }
 
 void vft_atomic_rmw_post(const void* addr, int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  atomic_event(addr, mo, &EntryTable::atomic_rmw_post,
-               &SessionBackend::atomic_rmw_post);
+  backend().atomic_rmw_post(addr, clamp_mo(mo));
 }
 
 void vft_atomic_fence(int mo) {
   AbiScope guard;
   if (!guard.entered()) return;
-  mo = clamp_mo(mo);
-  const uint64_t gen = __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
-  const EntryTable* t = Session::instance().entry_table();
-  if (t != nullptr && t->generation == gen) {
-    t->atomic_fence(t->self, mo);
-  } else {
-    backend().atomic_fence(mo);
-  }
+  backend().atomic_fence(clamp_mo(mo));
 }
 
 void vft_mutex_lock(const void* m) {

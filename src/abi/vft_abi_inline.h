@@ -58,7 +58,7 @@ extern "C" {
 #define VFT_FASTPATH_SLOT_MASK ((uintptr_t)511)
 
 /* Out-of-line continuations (abi/vft_abi.cpp): full AbiScope + gate +
- * entry-table dispatch, then descriptor re-arm. */
+ * session-backend dispatch, then descriptor re-arm. */
 void vft_abi_slow_read(const void* addr, size_t size);
 void vft_abi_slow_write(const void* addr, size_t size);
 

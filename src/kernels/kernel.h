@@ -29,18 +29,16 @@ namespace vft::kernels {
 /// Where a kernel's dominant arrays keep their element shadow:
 ///   kInline  a private VarState allocation inside rt::Array (the default,
 ///            and what the Table 1 runs measure);
-///   kTable   carved from the runtime's sharded-hash ShadowTable;
 ///   kSpace   carved from the runtime's lock-free two-level ShadowSpace,
 ///            so raw-pointer and wrapper instrumentation agree;
 ///   kPacked  carved from the runtime's PackedShadowSpace: accesses run
 ///            the 64-bit packed-cell same-epoch fast path inline and only
 ///            escalated words materialize a VarState (spill-capable
 ///            detectors; NullTool falls back to kInline).
-enum class ShadowBackend : std::uint8_t { kInline, kTable, kSpace, kPacked };
+enum class ShadowBackend : std::uint8_t { kInline, kSpace, kPacked };
 
 inline const char* shadow_backend_name(ShadowBackend b) {
   switch (b) {
-    case ShadowBackend::kTable: return "table";
     case ShadowBackend::kSpace: return "space";
     case ShadowBackend::kPacked: return "packed";
     default: return "inline";
@@ -124,8 +122,6 @@ template <typename T, Detector D>
 rt::Array<T, D> make_shadowed_array(rt::Runtime<D>& R, const KernelConfig& cfg,
                                     std::size_t n, T initial = T{}) {
   switch (cfg.shadow) {
-    case ShadowBackend::kTable:
-      return rt::Array<T, D>(R, R.shadow_table(), n, initial);
     case ShadowBackend::kSpace:
       return rt::Array<T, D>(R, R.shadow_space(), n, initial);
     case ShadowBackend::kPacked:

@@ -10,12 +10,13 @@
 // same entry point the C ABI (src/abi/vft_abi.h) uses, so annotated code
 // and interposed binaries share one analysis state.
 //
-// The default ambient detector is VerifiedFT-v2 over the lock-free
-// two-level ShadowSpace - the configuration a production deployment would
-// pick; VFT_DETECTOR selects another at launch. The typed wrappers below
-// (Thread, Lock, MainScope) are v2-only and fatal under a different
-// detector. Shadow is word-granular: accesses within the same 8-byte word
-// map to one VarState (see shadow_space.h).
+// The default ambient detector is VerifiedFT-v2 over the session's
+// packed-cell shadow (PackedShadowSpace: one 64-bit cell per word, a full
+// VarState only for words that escalate) - the configuration a production
+// deployment would pick; VFT_DETECTOR selects another at launch. The typed
+// wrappers below (Thread, Lock, MainScope) are v2-only and fatal under a
+// different detector. Shadow is word-granular: accesses within the same
+// 8-byte word map to one cell (see shadow_space.h).
 #pragma once
 
 #include "runtime/instrument.h"
@@ -24,11 +25,10 @@
 
 namespace vft::rt::ambient {
 
-// Reference-forwarding accessors that survive reset(). runtime()/shadow()
-// are the typed v2 views; backend() is the detector-erased session every
-// event below routes through.
+// Reference-forwarding accessors that survive reset(). runtime() is the
+// typed v2 view (its packed_space() is the session's shadow); backend() is
+// the detector-erased session every event below routes through.
 inline SessionBackend& backend() { return Session::instance().backend(); }
-inline ShadowSpace<VftV2>& shadow() { return Session::instance().shadow(); }
 inline Runtime<VftV2>& runtime() { return Session::instance().runtime(); }
 inline RaceCollector& races() { return Session::instance().races(); }
 

@@ -151,8 +151,8 @@ class Array {
     }
   }
 
-  /// Carve the element shadow out of `backend` (a ShadowSpace or
-  /// ShadowTable), keyed by each element's address. Wrapper accesses and
+  /// Carve the element shadow out of `backend` (a ShadowSpace), keyed by
+  /// each element's address. Wrapper accesses and
   /// instrumented_read/write on &data()[i] then agree on the VarState.
   /// Note: under ShadowSpace's word granularity, elements smaller than the
   /// shadow word share a VarState with their word neighbors.

@@ -8,17 +8,17 @@
 //                                                                  │
 //                                               SessionBackend (virtual)
 //                                                                  │
-//                                  SessionImpl<D>: Runtime<D> + ShadowSpace
-//                                                + LockRegistry + lifecycle
+//                            SessionImpl<D>: Runtime<D> + PackedShadowSpace
+//                                          + LockRegistry + lifecycle
 //
 // The detector D is fixed for the whole process but selectable at launch
 // (VFT_DETECTOR environment variable, or Session::configure before first
 // use): the ABI entry points are plain C functions, so the detector
-// dispatch happens at run time instead of per call-site templates. Access
-// and atomic events pay one indirect call through the devirtualized
-// EntryTable; lifecycle and lock events take SessionBackend's vtable.
-// bench_hotpath's `abi_dispatch` section tracks what that indirection
-// costs against the inlined wrapper path.
+// dispatch happens at run time instead of per call-site templates. Every
+// event that misses the header-inlined fast path (abi/vft_abi_inline.h)
+// pays one virtual hop through SessionBackend; bench_hotpath's
+// `abi_dispatch` section tracks what that costs against the inlined
+// wrapper path.
 //
 // Implicit thread lifecycle: any thread is attached on its first event
 // (OS-thread identity lives in Registry's thread_local binding). Threads
@@ -53,41 +53,9 @@
 
 namespace vft::rt::ambient {
 
-/// Devirtualized event dispatch for the ABI slow path. SessionImpl is
-/// `final`, so the captureless-lambda thunks below compile to direct
-/// calls into the template-inlined handlers - the C ABI pays one indirect
-/// call through this table instead of the backend() acquire-load plus a
-/// vtable hop per event. The table is built once in the SessionImpl
-/// constructor and published by Session::create_backend(); `generation`
-/// snapshots vft_g_fastpath_gen at creation, and Session::reset() bumps
-/// that global, so a consumer that checks `generation` against the
-/// current global can never dispatch into a torn-down backend.
-struct EntryTable {
-  using AccessFn = void (*)(void*, const void*, std::size_t);
-  /// Atomic sync entries: (self, addr, morder). morder is the TSan ABI
-  /// value (== __ATOMIC_*); address identity is the sync-state key, so no
-  /// size is needed.
-  using AtomicFn = void (*)(void*, const void*, int);
-  using FenceFn = void (*)(void*, int);
-
-  void* self = nullptr;
-  AccessFn read = nullptr;
-  AccessFn write = nullptr;
-  AccessFn range_read = nullptr;
-  AccessFn range_write = nullptr;
-  AtomicFn atomic_load = nullptr;
-  AtomicFn atomic_store = nullptr;
-  AtomicFn atomic_rmw_pre = nullptr;
-  AtomicFn atomic_rmw_post = nullptr;
-  FenceFn atomic_fence = nullptr;
-  std::uint64_t generation = 0;
-};
-
-/// The detector-erased session surface: lifecycle, locks, introspection,
-/// and the fallback for the access and atomic events, which normally go
-/// through the EntryTable instead (the C ABI takes a virtual hop here only
-/// before the table is published or while it is stale). The handlers
-/// behind it are the same template-inlined fast paths the wrappers use.
+/// The detector-erased session surface: accesses, locks, atomics,
+/// lifecycle and introspection. The handlers behind it are the same
+/// template-inlined fast paths the wrappers use.
 class SessionBackend {
  public:
   virtual ~SessionBackend() = default;
@@ -134,9 +102,6 @@ class SessionBackend {
   /// dead locks so recycled addresses start from bottom state.
   virtual void free_hint(const void* addr, std::size_t size) = 0;
 
-  /// The backend's devirtualized access-entry table (see EntryTable).
-  virtual const EntryTable& entries() const = 0;
-
   // --- introspection for end-of-run reports.
   virtual std::size_t threads_seen() const = 0;
   virtual std::size_t locks_seen() const = 0;
@@ -147,13 +112,21 @@ class SessionBackend {
 /// Session::reset() (tests) can never resurrect a stale record.
 struct SessionTls {
   void* record = nullptr;        ///< ThreadRecord* of the owning backend
-  std::uint64_t generation = 0;  ///< Session generation the fields belong to
+  std::uint64_t generation = 0;  ///< backend generation the fields belong to
   bool unmonitored = false;      ///< registry exhausted: events are no-ops
 };
 inline thread_local SessionTls tl_session{};
 
+/// The session's shadow is the packed-cell space alone, so the detector's
+/// VarState must be spillable - all six production detectors are.
+/// `generation` is the vft_g_fastpath_gen snapshot the backend was created
+/// under: it tags SessionTls records, fence snapshots and armed
+/// descriptors, so Session::reset()'s bump makes them all stale at once.
 template <Detector D>
 class SessionImpl final : public SessionBackend {
+  static_assert(SpillableVarState<typename D::VarState>,
+                "the session shadows memory in packed cells only");
+
  public:
   SessionImpl(RaceCollector* races, RuleStats* stats,
               std::uint64_t generation)
@@ -162,49 +135,14 @@ class SessionImpl final : public SessionBackend {
         gate_(sampling::Gate::active()),
         drop_mode_(gate_ != nullptr &&
                    gate_->config().policy ==
-                       sampling::Config::Policy::kDrop) {
-    // Devirtualized dispatch thunks: SessionImpl is final, so these
-    // compile to direct calls into the handlers below.
-    entries_.self = this;
-    entries_.read = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->read(a, n);
-    };
-    entries_.write = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->write(a, n);
-    };
-    entries_.range_read = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->range_read(a, n);
-    };
-    entries_.range_write = [](void* s, const void* a, std::size_t n) {
-      static_cast<SessionImpl*>(s)->range_write(a, n);
-    };
-    entries_.atomic_load = [](void* s, const void* a, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_load(a, mo);
-    };
-    entries_.atomic_store = [](void* s, const void* a, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_store(a, mo);
-    };
-    entries_.atomic_rmw_pre = [](void* s, const void* a, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_rmw_pre(a, mo);
-    };
-    entries_.atomic_rmw_post = [](void* s, const void* a, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_rmw_post(a, mo);
-    };
-    entries_.atomic_fence = [](void* s, int mo) {
-      static_cast<SessionImpl*>(s)->atomic_fence(mo);
-    };
-    entries_.generation =
-        __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      // Header-inlined fast-path descriptor arming: ungated runs only.
-      // Under cell-policy sampling an inline hit would bypass the gate's
-      // countdown and controller probes (starving the overhead budget);
-      // under the drop policy the ABI slow path arms the countdown half
-      // of the descriptor and the cell half stays disarmed.
-      fastpath_arm_ =
-          gate_ == nullptr && stats != nullptr && fastpath_env_enabled();
-    }
-  }
+                       sampling::Config::Policy::kDrop),
+        // Header-inlined fast-path descriptor arming: ungated runs only.
+        // Under cell-policy sampling an inline hit would bypass the gate's
+        // countdown and controller probes (starving the overhead budget);
+        // under the drop policy the ABI slow path arms the countdown half
+        // of the descriptor and the cell half stays disarmed.
+        fastpath_arm_(gate_ == nullptr && stats != nullptr &&
+                      fastpath_env_enabled()) {}
 
   /// The typed runtime, for same-detector callers (ambient wrappers,
   /// benches) that want the inlined path next to the erased one.
@@ -213,101 +151,17 @@ class SessionImpl final : public SessionBackend {
 
   const char* detector_name() const override { return D::kName; }
 
-  const EntryTable& entries() const override { return entries_; }
-
-  // Spillable detectors (all six production ones) route every ABI access
-  // through the packed-cell space whether or not a sampling gate is
-  // installed: the packed fast path is the scalar flank of the
-  // header-inlined one, so the inline path's cached cell pointers stay
-  // the authoritative shadow and a slow-path access leaves exactly the
-  // {R, W} the next inline hit tests against. Non-spillable detectors
-  // keep the full-VarState ShadowSpace route.
-
   void read(const void* addr, std::size_t size) override {
-    ThreadState* ts = self_or_attach();
-    if (ts == nullptr) return;
-    // Size hint for history entries; only consumed on the slow path.
-    history::tl_access_size = static_cast<std::uint32_t>(size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (gate_ != nullptr) {
-        gated_access</*IsWrite=*/false>(*ts, addr, size);
-        return;
-      }
-      auto& packed = rt_.packed_space();
-      if (one_word(addr, size)) {
-        packed.read(rt_.tool(), *ts, addr);
-      } else {
-        packed.range_read(rt_.tool(), *ts, addr, size, /*sampled=*/true);
-      }
-      arm_fastpath(*ts, addr);
-      return;
-    }
-    auto& shadow = rt_.shadow_space();
-    if (one_word(addr, size)) {
-      rt_.tool().read(*ts, shadow.of(addr));
-    } else {
-      instrumented_range_read(rt_, shadow, addr, size);
-    }
+    access</*IsWrite=*/false, /*IsRange=*/false>(addr, size);
   }
-
   void write(const void* addr, std::size_t size) override {
-    ThreadState* ts = self_or_attach();
-    if (ts == nullptr) return;
-    history::tl_access_size = static_cast<std::uint32_t>(size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (gate_ != nullptr) {
-        gated_access</*IsWrite=*/true>(*ts, addr, size);
-        return;
-      }
-      auto& packed = rt_.packed_space();
-      if (one_word(addr, size)) {
-        packed.write(rt_.tool(), *ts, addr);
-      } else {
-        packed.range_write(rt_.tool(), *ts, addr, size, /*sampled=*/true);
-      }
-      arm_fastpath(*ts, addr);
-      return;
-    }
-    auto& shadow = rt_.shadow_space();
-    if (one_word(addr, size)) {
-      rt_.tool().write(*ts, shadow.of(addr));
-    } else {
-      instrumented_range_write(rt_, shadow, addr, size);
-    }
+    access</*IsWrite=*/true, /*IsRange=*/false>(addr, size);
   }
-
   void range_read(const void* addr, std::size_t size) override {
-    ThreadState* ts = self_or_attach();
-    if (ts == nullptr) return;
-    history::tl_access_size = static_cast<std::uint32_t>(size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (gate_ != nullptr) {
-        gated_access</*IsWrite=*/false>(*ts, addr, size);
-        return;
-      }
-      rt_.packed_space().range_read(rt_.tool(), *ts, addr, size,
-                                    /*sampled=*/true);
-      arm_fastpath(*ts, addr);
-      return;
-    }
-    instrumented_range_read(rt_, rt_.shadow_space(), addr, size);
+    access</*IsWrite=*/false, /*IsRange=*/true>(addr, size);
   }
-
   void range_write(const void* addr, std::size_t size) override {
-    ThreadState* ts = self_or_attach();
-    if (ts == nullptr) return;
-    history::tl_access_size = static_cast<std::uint32_t>(size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (gate_ != nullptr) {
-        gated_access</*IsWrite=*/true>(*ts, addr, size);
-        return;
-      }
-      rt_.packed_space().range_write(rt_.tool(), *ts, addr, size,
-                                     /*sampled=*/true);
-      arm_fastpath(*ts, addr);
-      return;
-    }
-    instrumented_range_write(rt_, rt_.shadow_space(), addr, size);
+    access</*IsWrite=*/true, /*IsRange=*/true>(addr, size);
   }
 
   void mutex_lock(const void* m) override {
@@ -464,10 +318,7 @@ class SessionImpl final : public SessionBackend {
 
   void free_hint(const void* addr, std::size_t size) override {
     if (size == 0) return;
-    if (rt_.has_shadow_space()) rt_.shadow_space().reset_range(addr, size);
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (rt_.has_packed_space()) rt_.packed_space().reset_range(addr, size);
-    }
+    if (rt_.has_packed_space()) rt_.packed_space().reset_range(addr, size);
     locks_.reset_range(addr, size);
     atomics_.reset_range(addr, size);
     // Recycled addresses are new variables: any cooled sampling state
@@ -488,13 +339,9 @@ class SessionImpl final : public SessionBackend {
   std::size_t locks_seen() const override { return locks_.size(); }
 
   std::size_t shadow_words() const override {
-    std::size_t n = rt_.has_shadow_space()
-                        ? const_cast<Runtime<D>&>(rt_).shadow_space().size()
-                        : 0;
-    if (rt_.has_packed_space()) {
-      n += const_cast<Runtime<D>&>(rt_).packed_space().size();
-    }
-    return n;
+    return rt_.has_packed_space()
+               ? const_cast<Runtime<D>&>(rt_).packed_space().size()
+               : 0;
   }
 
  private:
@@ -547,39 +394,69 @@ class SessionImpl final : public SessionBackend {
     vft_fastpath_s& fp = vft_tl_fastpath;
     const std::uintptr_t base =
         ShadowGeometry::base_of(reinterpret_cast<std::uintptr_t>(addr));
-    if (fp.gen == entries_.generation && fp.page_base == base &&
+    if (fp.gen == generation_ && fp.page_base == base &&
         fp.epoch_addr == ts.epoch_bits_addr()) {
       return;
     }
-    if constexpr (SpillableVarState<typename D::VarState>) {
-      if (fp.gen != entries_.generation) {
-        RuleStats* s = rt_.tool().stats();
-        std::atomic<std::uint64_t>* c[4] = {
-            s->thread_counter(Rule::kReadSameEpoch),
-            s->thread_counter(Rule::kFastReadHit),
-            s->thread_counter(Rule::kWriteSameEpoch),
-            s->thread_counter(Rule::kFastWriteHit)};
-        // An overflow thread shares its shard; it stays on the slow path.
-        if (c[0] == nullptr) return;
-        static_assert(sizeof(std::atomic<std::uint64_t>) ==
-                      sizeof(std::uint64_t));
-        static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
-        fp.rule_read[0] = reinterpret_cast<std::uint64_t*>(c[0]);
-        fp.rule_read[1] = reinterpret_cast<std::uint64_t*>(c[1]);
-        fp.rule_write[0] = reinterpret_cast<std::uint64_t*>(c[2]);
-        fp.rule_write[1] = reinterpret_cast<std::uint64_t*>(c[3]);
-      }
-      fp.epoch_addr = ts.epoch_bits_addr();
-      fp.page_base = base;
-      fp.cells = rt_.packed_space().page_cells(base);
-      fp.drop_countdown = 0;
-      fp.drop_pending = 0;
-      // entries_.generation snapshots the global at backend creation; if
-      // a reset bumped the global since, this stamp leaves the descriptor
-      // stale and the inline path keeps falling through - correct, since
-      // this backend is being torn down.
-      fp.gen = entries_.generation;
+    if (fp.gen != generation_) {
+      RuleStats* s = rt_.tool().stats();
+      std::atomic<std::uint64_t>* c[4] = {
+          s->thread_counter(Rule::kReadSameEpoch),
+          s->thread_counter(Rule::kFastReadHit),
+          s->thread_counter(Rule::kWriteSameEpoch),
+          s->thread_counter(Rule::kFastWriteHit)};
+      // An overflow thread shares its shard; it stays on the slow path.
+      if (c[0] == nullptr) return;
+      static_assert(sizeof(std::atomic<std::uint64_t>) ==
+                    sizeof(std::uint64_t));
+      static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
+      fp.rule_read[0] = reinterpret_cast<std::uint64_t*>(c[0]);
+      fp.rule_read[1] = reinterpret_cast<std::uint64_t*>(c[1]);
+      fp.rule_write[0] = reinterpret_cast<std::uint64_t*>(c[2]);
+      fp.rule_write[1] = reinterpret_cast<std::uint64_t*>(c[3]);
     }
+    fp.epoch_addr = ts.epoch_bits_addr();
+    fp.page_base = base;
+    fp.cells = rt_.packed_space().page_cells(base);
+    fp.drop_countdown = 0;
+    fp.drop_pending = 0;
+    // generation_ snapshots the global at backend creation; if a reset
+    // bumped the global since, this stamp leaves the descriptor stale and
+    // the inline path keeps falling through - correct, since this backend
+    // is being torn down.
+    fp.gen = generation_;
+  }
+
+  /// Every access runs against the packed-cell space whether or not a
+  /// sampling gate is installed: the packed fast path is the scalar flank
+  /// of the header-inlined one, so the inline path's cached cell pointers
+  /// stay the authoritative shadow and a slow-path access leaves exactly
+  /// the {R, W} the next inline hit tests against. A one-word read/write
+  /// takes the cell fast path; ranges and straddles walk the range.
+  template <bool IsWrite, bool IsRange>
+  void access(const void* addr, std::size_t size) {
+    ThreadState* ts = self_or_attach();
+    if (ts == nullptr) return;
+    // Size hint for history entries; only consumed on the slow path.
+    history::tl_access_size = static_cast<std::uint32_t>(size);
+    if (gate_ != nullptr) {
+      gated_access<IsWrite>(*ts, addr, size);
+      return;
+    }
+    auto& packed = rt_.packed_space();
+    auto& tool = rt_.tool();
+    if (!IsRange && one_word(addr, size)) {
+      if constexpr (IsWrite) {
+        packed.write(tool, *ts, addr);
+      } else {
+        packed.read(tool, *ts, addr);
+      }
+    } else if constexpr (IsWrite) {
+      packed.range_write(tool, *ts, addr, size, /*sampled=*/true);
+    } else {
+      packed.range_read(tool, *ts, addr, size, /*sampled=*/true);
+    }
+    arm_fastpath(*ts, addr);
   }
 
   /// The sampling route: accesses run against the packed-cell space so a
@@ -683,8 +560,7 @@ class SessionImpl final : public SessionBackend {
   const std::uint64_t generation_;
   sampling::Gate* const gate_;  ///< nullptr: sampling off, classic route
   const bool drop_mode_;
-  EntryTable entries_;
-  bool fastpath_arm_ = false;  ///< ungated + stats + env allow arming
+  const bool fastpath_arm_;  ///< ungated + stats + env allow arming
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, ThreadRecord> records_;
@@ -723,13 +599,10 @@ class Session {
   RaceCollector& races() { return races_; }
   RuleStats& rule_stats() { return stats_; }
 
-  /// The live backend's devirtualized entry table, or nullptr before the
-  /// first event / after reset(). Consumers must compare the table's
-  /// generation snapshot against vft_g_fastpath_gen before dispatching
-  /// through it (src/abi/vft_abi.cpp does); a stale table may point into
-  /// a backend that reset() is about to destroy.
-  const EntryTable* entry_table() const {
-    return entry_table_.load(std::memory_order_acquire);
+  /// True between backend creation and the next reset(): reset() retracts
+  /// the published backend before destroying it.
+  bool has_backend() const {
+    return backend_ptr_.load(std::memory_order_acquire) != nullptr;
   }
 
   /// Snapshot the end-of-run report document: the collector's error
@@ -780,14 +653,6 @@ class Session {
     return v2_->runtime();
   }
 
-  ShadowSpace<VftV2>& shadow() { return runtime().shadow_space(); }
-
-  /// Monotone session generation; bumped by reset() so thread-local
-  /// bindings from a previous backend can never be mistaken for live.
-  std::uint64_t generation() const {
-    return generation_.load(std::memory_order_relaxed);
-  }
-
   /// Drops all analysis state (shadow, reports, thread registry, lock
   /// registry) and re-creates the backend with the configured detector.
   /// Only safe while no ambient/ABI threads are live; intended for tests.
@@ -802,11 +667,12 @@ class Session {
   std::string detector_;  ///< empty: resolve from env at creation
   std::unique_ptr<SessionBackend> backend_;
   std::atomic<SessionBackend*> backend_ptr_{nullptr};
-  std::atomic<const EntryTable*> entry_table_{nullptr};
   SessionImpl<VftV2>* v2_ = nullptr;
-  std::atomic<std::uint64_t> generation_{1};
   bool suppressions_loaded_ = false;  ///< VFT_SUPPRESSIONS: once per process
-  RaceCollector races_;
+  /// Every race report locks the collector, while every event that
+  /// misses the inline path loads backend_ptr_: the collector starts a
+  /// cache line of its own so reports do not evict the dispatch pointer.
+  alignas(64) RaceCollector races_;
   RuleStats stats_;
 };
 

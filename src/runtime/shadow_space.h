@@ -40,9 +40,7 @@
 //              instrumentation of the same memory see the same history.
 //
 // Granularity: accesses within the same 8-byte word share a VarState
-// (word-granular shadow, as in TSan's default). The fallback ShadowTable
-// keys exact addresses instead; use word-aligned data when comparing
-// backends.
+// (word-granular shadow, as in TSan's default).
 #pragma once
 
 #include <atomic>
@@ -178,17 +176,6 @@ class PageDirectory {
     return nullptr;
   }
 
-  /// The pre-cache lookup path (hash + chain walk), kept callable so
-  /// bench_hotpath can measure exactly what the cache buys.
-  PageT& page_uncached(std::uintptr_t base) {
-    std::atomic<PageT*>& head = buckets_[Geometry::bucket_of(base)];
-    for (PageT* p = head.load(std::memory_order_acquire); p != nullptr;
-         p = p->next.load(std::memory_order_acquire)) {
-      if (p->base == base) return *p;
-    }
-    return publish_page(head, base);
-  }
-
   std::size_t pages() const { return pages_.load(std::memory_order_relaxed); }
   std::size_t collisions() const {
     return collisions_.load(std::memory_order_relaxed);
@@ -206,7 +193,7 @@ class PageDirectory {
   /// the TLS slot directly instead of through the dynamic-init wrapper
   /// function the ABI otherwise requires for inline thread_locals. The
   /// wrapper call was the whole cost of the cache on single-page hammer
-  /// workloads (BENCH_hotpath shadow_cache hammer_* rows).
+  /// workloads.
   inline static constinit thread_local Cache tl_cache_{};
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -274,12 +261,6 @@ class ShadowSpace {
   typename D::VarState& of(const void* addr) {
     const auto a = reinterpret_cast<std::uintptr_t>(addr);
     return dir_.page(Geometry::base_of(a)).slot(a);
-  }
-
-  /// The pre-cache lookup path, for bench_hotpath's cache A/B.
-  typename D::VarState& of_uncached(const void* addr) {
-    const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    return dir_.page_uncached(Geometry::base_of(a)).slot(a);
   }
 
   /// Reset every shadow word overlapping [addr, addr+size) to its initial
@@ -673,9 +654,9 @@ class PackedShadowSpace {
 };
 
 /// Anything mapping addresses to stable VarStates can back the raw-pointer
-/// entry points: ShadowSpace (primary), ShadowTable (fallback), and
-/// PackedShadowSpace (via its force-escalating of(); the dedicated
-/// overloads below keep its fast path instead).
+/// entry points: ShadowSpace, and PackedShadowSpace (via its
+/// force-escalating of(); the dedicated overloads below keep its fast path
+/// instead).
 template <typename S, typename D>
 concept ShadowBackendFor = requires(S& s, const void* p) {
   { s.of(p) } -> std::same_as<typename D::VarState&>;
@@ -685,8 +666,7 @@ concept ShadowBackendFor = requires(S& s, const void* p) {
 //
 // The API a compiler pass or binary-instrumentation front end would call
 // (TSan's __tsan_readN/__tsan_writeN shape), generic over the backend so
-// tools can switch between ShadowSpace, ShadowTable, and the packed cells
-// with a flag.
+// tools can switch between ShadowSpace and the packed cells with a flag.
 
 template <Detector D, typename S>
   requires ShadowBackendFor<S, D>
@@ -719,8 +699,7 @@ bool instrumented_write(Runtime<D>& rt, PackedShadowSpace<D>& shadow,
 /// so a range sweep's next few shadow words sit right after the current
 /// one; pulling them toward L1 while the detector handler runs hides the
 /// VarState-sized stride. Prefetch never faults, so running past a page
-/// end (or, for the ShadowTable backend, into unrelated heap) is merely a
-/// wasted hint.
+/// end is merely a wasted hint.
 template <typename V>
 inline void prefetch_shadow_ahead(const V& vs, std::size_t slots_ahead = 4) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -12,7 +12,6 @@
 
 #include "runtime/registry.h"
 #include "runtime/shadow_space.h"
-#include "runtime/shadow_table.h"
 #include "vft/detector.h"
 
 namespace vft::rt {
@@ -64,14 +63,6 @@ class Runtime {
     return *space_;
   }
 
-  /// The fallback sharded-hash backend, also lazy (kept for exact
-  /// byte-granular keying and for backend A/B comparisons).
-  ShadowTable<D>& shadow_table() {
-    std::call_once(table_once_,
-                   [this] { table_ = std::make_unique<ShadowTable<D>>(); });
-    return *table_;
-  }
-
   /// The packed-cell shadow space (the inline same-epoch fast path with
   /// VarState spill-on-escalation), also lazy. Meaningful for detectors
   /// whose VarState is SpillableVarState - all six production detectors;
@@ -86,7 +77,6 @@ class Runtime {
   /// True iff shadow_space() has been materialized (stats reporting can
   /// avoid forcing an allocation).
   bool has_shadow_space() const { return space_ != nullptr; }
-  bool has_shadow_table() const { return table_ != nullptr; }
   bool has_packed_space() const { return packed_ != nullptr; }
 
   /// The calling thread's state; the thread must be inside a ThreadScope
@@ -121,10 +111,8 @@ class Runtime {
   D tool_;
   Registry registry_;
   std::once_flag space_once_;
-  std::once_flag table_once_;
   std::once_flag packed_once_;
   std::unique_ptr<ShadowSpace<D>> space_;
-  std::unique_ptr<ShadowTable<D>> table_;
   std::unique_ptr<PackedShadowSpace<D>> packed_;
 };
 

@@ -13,7 +13,7 @@ std::atomic<AccessHistory*> g_active{nullptr};
 std::atomic<std::uint64_t> g_next_history_id{1};
 
 /// One entry of the per-thread intern cache: a stack the owning history's
-/// StackTable already interned, and its id. owner 0 = empty.
+/// StackPool already interned, and its id. owner 0 = empty.
 struct InternCacheEntry {
   std::uint64_t owner = 0;
   std::uint32_t id = 0;
@@ -54,7 +54,7 @@ bool enabled_from_env() {
            std::strcmp(env, "false") == 0);
 }
 
-std::uint32_t StackTable::intern(const CallStack& cs) {
+std::uint32_t StackPool::intern(const CallStack& cs) {
   if (cs.empty()) return 0;
   const std::uint64_t h = hash_stack(cs);
   std::lock_guard<std::mutex> lk(mu_);
@@ -74,7 +74,7 @@ std::uint32_t StackTable::intern(const CallStack& cs) {
   return id;
 }
 
-bool StackTable::lookup(std::uint32_t id, CallStack* out) const {
+bool StackPool::lookup(std::uint32_t id, CallStack* out) const {
   if (id == 0) return false;
   std::lock_guard<std::mutex> lk(mu_);
   if (id > stacks_.size()) return false;
@@ -82,7 +82,7 @@ bool StackTable::lookup(std::uint32_t id, CallStack* out) const {
   return true;
 }
 
-std::size_t StackTable::size() const {
+std::size_t StackPool::size() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stacks_.size();
 }

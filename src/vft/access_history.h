@@ -100,7 +100,7 @@ struct Ring {
 /// distinct stacks; beyond that intern() returns 0 and counts the drop
 /// (reports then degrade to a stack-less prior, exactly like pre-history
 /// reports).
-class StackTable {
+class StackPool {
  public:
   static constexpr std::size_t kMaxStacks = std::size_t{1} << 16;
 
@@ -170,7 +170,7 @@ class AccessHistory {
     std::uint64_t recorded = 0;  ///< pushes into this shard's rings
   };
 
-  /// StackTable::intern behind the calling thread's intern cache.
+  /// StackPool::intern behind the calling thread's intern cache.
   std::uint32_t intern(const CallStack& cs);
 
   Shard& shard_of(std::uint64_t var) {
@@ -185,7 +185,7 @@ class AccessHistory {
   /// returned by a later AccessHistory (e.g. after history::install).
   const std::uint64_t id_;
   Shard shards_[kShards];
-  StackTable stacks_;
+  StackPool stacks_;
   std::atomic<std::size_t> var_count_{0};
   std::atomic<std::uint64_t> var_drops_{0};
 };

@@ -54,9 +54,10 @@ typedef struct vft_fastpath_s {
 
 extern VFT_FASTPATH_TLS vft_fastpath_s vft_tl_fastpath;
 
-/* Process-wide descriptor generation. Read with acquire in the inline
- * path; incremented (release) by Session::reset to retract every armed
- * descriptor and the published entry table at once. */
+/* Process-wide session generation. Read with acquire in the inline path;
+ * each session backend snapshots it at creation, and Session::reset
+ * increments it (release) to retract every armed descriptor and thread
+ * binding of the old backend at once. */
 extern uint64_t vft_g_fastpath_gen;
 
 #ifdef __cplusplus

@@ -60,9 +60,9 @@ struct RaceReport {
   ///   - wrapper shadows (rt::Var, rt::Array inline mode): the address of
   ///     the VarState itself - uniform across wrapper kinds, and distinct
   ///     per element for arrays;
-  ///   - address-keyed backends (rt::ShadowSpace pages, rt::ShadowTable,
-  ///     and rt::Array's carved mode, which borrows backend slots): the
-  ///     *target* address being shadowed (word-aligned for ShadowSpace),
+  ///   - address-keyed backends (rt::ShadowSpace pages, packed cells, and
+  ///     rt::Array's carved mode, which borrows backend slots): the
+  ///     *target* address being shadowed (word-aligned),
   ///     so a report names the racing memory, not the shadow's location;
   ///   - explicit ids passed to Var's constructor override the default.
   /// Ids only need to be stable and unique per logical variable; name_var

@@ -297,7 +297,7 @@ bool Gate::cooled_out(Tls& t, const void* addr) {
   std::uintptr_t page = reinterpret_cast<std::uintptr_t>(addr) >> kPageShift;
   std::uintptr_t pc = reinterpret_cast<std::uintptr_t>(vft_tl_event_ctx.pc);
   std::uint64_t h = mix64(page ^ (pc << 1));
-  std::size_t idx = static_cast<std::size_t>(h) & (kTableSize - 1);
+  std::size_t idx = static_cast<std::size_t>(h) & (kAdaptiveSlots - 1);
   std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
   if (tag == 0) tag = 1;  // tag 0 is the empty/hot marker
 
@@ -337,7 +337,7 @@ void Gate::reheat(const void* addr) {
   std::uintptr_t page = reinterpret_cast<std::uintptr_t>(addr) >> kPageShift;
   std::uintptr_t pc = reinterpret_cast<std::uintptr_t>(vft_tl_event_ctx.pc);
   std::uint64_t h = mix64(page ^ (pc << 1));
-  std::size_t idx = static_cast<std::size_t>(h) & (kTableSize - 1);
+  std::size_t idx = static_cast<std::size_t>(h) & (kAdaptiveSlots - 1);
   std::uint64_t e = table_[idx].load(std::memory_order_relaxed);
   if (e != 0) {
     table_[idx].store(0, std::memory_order_relaxed);
@@ -348,7 +348,7 @@ void Gate::reheat(const void* addr) {
   // keys on mix64(page) - so clear that too.
   if (pc != 0) {
     std::uint64_t h2 = mix64(page);
-    std::size_t idx2 = static_cast<std::size_t>(h2) & (kTableSize - 1);
+    std::size_t idx2 = static_cast<std::size_t>(h2) & (kAdaptiveSlots - 1);
     std::uint64_t e2 = table_[idx2].load(std::memory_order_relaxed);
     if (e2 != 0) {
       table_[idx2].store(0, std::memory_order_relaxed);
@@ -363,7 +363,7 @@ void Gate::on_page_reset(const void* addr, std::size_t size) {
       (reinterpret_cast<std::uintptr_t>(addr) + (size ? size - 1 : 0)) >>
       kPageShift;
   // Bound the walk: a huge munmap can just flush the whole table.
-  if (last - first >= kTableSize) {
+  if (last - first >= kAdaptiveSlots) {
     std::uint64_t cleared = 0;
     for (auto& e : table_) {
       if (e.exchange(0, std::memory_order_relaxed) != 0) ++cleared;
@@ -377,7 +377,7 @@ void Gate::on_page_reset(const void* addr, std::size_t size) {
     // unrelated to the accessors'. PC-qualified entries covering a
     // recycled page self-heal via the tag check.
     std::uint64_t h = mix64(page);
-    std::size_t idx = static_cast<std::size_t>(h) & (kTableSize - 1);
+    std::size_t idx = static_cast<std::size_t>(h) & (kAdaptiveSlots - 1);
     std::uint64_t e = table_[idx].load(std::memory_order_relaxed);
     if (e != 0) {
       table_[idx].store(0, std::memory_order_relaxed);

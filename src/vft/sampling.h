@@ -205,7 +205,7 @@ class Gate {
   static constexpr std::uint64_t kProbeEvery = 64;     ///< controller probe period
   static constexpr std::uint64_t kAdjustWindow = 4096; ///< samples per rate step
   static constexpr std::uint64_t kProbeOutlierNs = 32'000;  ///< discard preempted probes
-  static constexpr std::size_t kTableSize = 1024;      ///< adaptive entries (pow2)
+  static constexpr std::size_t kAdaptiveSlots = 1024;  ///< adaptive entries (pow2)
   static constexpr std::uint32_t kCleanPerCool = 256;  ///< samples to cool a level
   static constexpr std::uint32_t kMaxCooldown = 6;     ///< min effective rate 1/64
   static constexpr double kMinRate = 1.0 / 4096.0;     ///< controller floor
@@ -247,7 +247,7 @@ class Gate {
   /// Adaptive table: one packed word per entry -
   /// tag(32) | cooldown level(8) | clean-sample count(24). Entry 0 with
   /// tag 0 means "hot" (level 0), so a clean table starts at full rate.
-  std::atomic<std::uint64_t> table_[kTableSize];
+  std::atomic<std::uint64_t> table_[kAdaptiveSlots];
 
   std::atomic<std::uint64_t> sampled_{0};
   std::atomic<std::uint64_t> skipped_{0};

@@ -262,12 +262,11 @@ TEST(Abi, FreeHintResetsShadowWordsAndLockStates) {
   delete[] buf;
 
   EXPECT_EQ(backend.locks_seen(), 0u);
-  // Ungated spillable accesses route through the packed space, so the
-  // free hint's resets land there; sum both spaces to stay agnostic.
-  const auto stats = Session::instance().shadow().stats();
+  // The session shadows memory in packed cells only, so the free hint's
+  // resets land there.
   const auto packed =
       Session::instance().runtime().packed_space().stats();
-  EXPECT_GE(stats.words_reset + packed.words_reset, 8u);
+  EXPECT_GE(packed.words_reset, 8u);
   vft_detach();
 }
 

@@ -110,10 +110,10 @@ TEST(Ring, NewestWinsWhenEpochsCollide) {
 }
 
 // ---------------------------------------------------------------------------
-// StackTable
+// StackPool
 
-TEST(StackTable, InternDeduplicatesAndRoundTrips) {
-  history::StackTable table;
+TEST(StackPool, InternDeduplicatesAndRoundTrips) {
+  history::StackPool table;
   const CallStack a = stack_of({0x1000, 0x2000});
   const CallStack b = stack_of({0x1000, 0x2000, 0x3000});
 
@@ -134,8 +134,8 @@ TEST(StackTable, InternDeduplicatesAndRoundTrips) {
   EXPECT_EQ(out, b);
 }
 
-TEST(StackTable, EmptyStackIsIdZeroAndLookupFails) {
-  history::StackTable table;
+TEST(StackPool, EmptyStackIsIdZeroAndLookupFails) {
+  history::StackPool table;
   EXPECT_EQ(table.intern(CallStack{}), 0u);
   CallStack out;
   EXPECT_FALSE(table.lookup(0, &out));

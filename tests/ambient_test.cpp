@@ -107,7 +107,7 @@ TEST(Ambient, ResetDropsShadowAndReports) {
   }
   Session::instance().reset();
   EXPECT_TRUE(races().empty());
-  EXPECT_EQ(shadow().size(), 0u);
+  EXPECT_EQ(runtime().packed_space().size(), 0u);
 }
 
 }  // namespace

@@ -10,9 +10,9 @@
 //                and everything else falls through;
 //   retraction   Session::reset() bumps the global generation, clears the
 //                calling thread's descriptor, and retracts the published
-//                entry table before the backend dies; a re-selected
-//                detector republishes a table stamped with the new
-//                generation and events flow again.
+//                backend before it dies; a re-selected detector's backend
+//                arms descriptors at the new generation and events flow
+//                again.
 //
 // Tests share the process-global Session; each begins by reconfiguring
 // the environment and resetting.
@@ -33,7 +33,6 @@ namespace {
 
 using vft::Rule;
 using vft::RuleStats;
-using vft::rt::ambient::EntryTable;
 using vft::rt::ambient::Session;
 
 constexpr const char* kDetectors[] = {"v1",       "v1.5",   "v2",
@@ -178,35 +177,32 @@ TEST(Fastpath, EnvKnobDisablesInlineArming) {
   vft_detach();
 }
 
-TEST(Fastpath, ResetRetractsDescriptorAndEntryTable) {
+TEST(Fastpath, ResetRetractsDescriptorAndBackend) {
   configure("v2", /*inline_on=*/true, nullptr);
   vft_attach();
   static long y = 0;
   vft_write8(&y);
-  ASSERT_NE(vft_tl_fastpath.gen, 0u);
-  const EntryTable* t = Session::instance().entry_table();
-  ASSERT_NE(t, nullptr);
+  ASSERT_TRUE(Session::instance().has_backend());
   const std::uint64_t gen_before =
       __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE);
-  EXPECT_EQ(t->generation, gen_before);
+  EXPECT_EQ(vft_tl_fastpath.gen, gen_before);  // armed at the live gen
   vft_detach();
 
   Session::instance().reset();
   // Retraction: thread descriptor cleared, global generation advanced,
-  // published table withdrawn - all before a new backend exists.
+  // published backend withdrawn - all before a new backend exists.
   EXPECT_EQ(vft_tl_fastpath.gen, 0u);
   EXPECT_GT(__atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE),
             gen_before);
-  EXPECT_EQ(Session::instance().entry_table(), nullptr);
+  EXPECT_FALSE(Session::instance().has_backend());
 
-  // Re-select a different detector: the republished table is stamped with
+  // Re-select a different detector: its backend arms the descriptor at
   // the current generation and events flow end to end again.
   ASSERT_TRUE(Session::instance().configure("ft-cas"));
   vft_attach();
   vft_write8(&y);
-  const EntryTable* t2 = Session::instance().entry_table();
-  ASSERT_NE(t2, nullptr);
-  EXPECT_EQ(t2->generation,
+  EXPECT_TRUE(Session::instance().has_backend());
+  EXPECT_EQ(vft_tl_fastpath.gen,
             __atomic_load_n(&vft_g_fastpath_gen, __ATOMIC_ACQUIRE));
   EXPECT_EQ(std::string(vft_detector_name()), "FT-CAS");
   vft_detach();

@@ -1,16 +1,15 @@
 // The two-level ShadowSpace: geometry (word granularity, page
 // straddling), lock-free publication under thread hammering, the range
 // entry points, and - the load-bearing property - parity: wrapper-based
-// and raw-pointer instrumentation of the same memory, and the table and
-// space backends, produce identical race verdicts for every detector
-// variant.
+// and raw-pointer instrumentation of the same memory, and the space and
+// packed-cell backends, produce identical race verdicts for every
+// detector variant.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
 #include "runtime/instrument.h"
-#include "runtime/shadow_table.h"
 
 namespace vft::rt {
 namespace {
@@ -198,9 +197,9 @@ void expect_parity() {
     };
   };
   ShadowSpace<D> space;
-  ShadowTable<D> table;
+  PackedShadowSpace<D> packed;
   const Verdict via_space = run_schedule<D>(raw(space));
-  const Verdict via_table = run_schedule<D>(raw(table));
+  const Verdict via_packed = run_schedule<D>(raw(packed));
 
   // Wrapper path: an Array carved from a fresh space, driven through
   // load/store (needs a live runtime reference inside the accessor).
@@ -228,7 +227,7 @@ void expect_parity() {
   for (const auto& r : rc.all()) via_wrapper.kinds.push_back(r.kind);
 
   EXPECT_GE(via_space.reports, 2u) << D::kName;  // both races reported
-  EXPECT_EQ(via_space, via_table) << D::kName;
+  EXPECT_EQ(via_space, via_packed) << D::kName;
   EXPECT_EQ(via_space, via_wrapper) << D::kName;
 }
 
@@ -249,7 +248,7 @@ TEST(ShadowParity, OrderedAccessesStayCleanOnEveryBackend) {
   instrumented_write(R, R.shadow_space(), &x);
   Thread<VftV2> child(R, [&] {
     instrumented_write(R, R.shadow_space(), &x);  // ordered by fork
-    instrumented_write(R, R.shadow_table(), &x);  // distinct history, clean
+    instrumented_write(R, R.packed_space(), &x);  // distinct history, clean
   });
   child.join();
   instrumented_read(R, R.shadow_space(), &x);  // ordered by join

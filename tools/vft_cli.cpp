@@ -11,13 +11,13 @@
 //       `vft analyze @-` nicely).
 //
 //   vft bench <kernel> [--tool ...] [--threads T] [--scale S]
-//             [--shadow inline|table|space|packed]
+//             [--shadow inline|space|packed]
 //       Time one kernel of the Table 1 suite under one detector.
 //       --shadow picks where ported kernels (sor, lufact) keep their
-//       element shadow: inline VarStates (default), the sharded-hash
-//       ShadowTable, the lock-free two-level ShadowSpace, or the packed
-//       64-bit-cell PackedShadowSpace (prints the fast-path hit/miss/
-//       spill counters next to the rule totals).
+//       element shadow: inline VarStates (default), the lock-free
+//       two-level ShadowSpace, or the packed 64-bit-cell
+//       PackedShadowSpace (prints the fast-path hit/miss/spill counters
+//       next to the rule totals).
 //
 //   vft minimize <trace | @file>
 //       Shrink a racy trace to a locally minimal racy core (delta
@@ -112,7 +112,7 @@ int usage() {
                "                    [--vars V] [--locks L] [--disciplined P]"
                " [--seed S]\n"
                "       vft bench <kernel> [--tool NAME] [--threads T]"
-               " [--scale S] [--shadow inline|table|space|packed]\n"
+               " [--scale S] [--shadow inline|space|packed]\n"
                "       vft minimize <trace|@file>\n"
                "       vft sched list\n"
                "       vft sched <scenario> [--bound K] [--seed N"
@@ -247,9 +247,6 @@ int bench_with(const std::string& kernel, kernels::KernelConfig cfg) {
       std::printf("  shadow space: %s\n",
                   rt::str(R.shadow_space().stats()).c_str());
     }
-    if (R.has_shadow_table()) {
-      std::printf("  shadow table: entries=%zu\n", R.shadow_table().size());
-    }
     if (R.has_packed_space()) {
       std::printf("  packed space: %s\n",
                   rt::str(R.packed_space().stats()).c_str());
@@ -283,9 +280,7 @@ int cmd_bench(int argc, char** argv) {
   cfg.scale = static_cast<std::uint32_t>(
       std::atoi(arg_value(argc, argv, "--scale", "2").c_str()));
   const std::string shadow = arg_value(argc, argv, "--shadow", "inline");
-  if (shadow == "table") {
-    cfg.shadow = kernels::ShadowBackend::kTable;
-  } else if (shadow == "space") {
+  if (shadow == "space") {
     cfg.shadow = kernels::ShadowBackend::kSpace;
   } else if (shadow == "packed") {
     cfg.shadow = kernels::ShadowBackend::kPacked;
