@@ -592,18 +592,17 @@ void history_section(JsonReport& json, std::size_t scale) {
 // ---------------------------------------------------------------------------
 
 /// What an interposed std::atomic load costs per declared order, against
-/// the plain read8 ABI sweep as the baseline. The two orders take
-/// structurally different paths (docs/ALGORITHM.md §16.2-16.3):
-///   acquire  after a single release publisher the fast-epoch arm holds
-///            that publisher's epoch; a loader whose clock already
-///            covers it (here: the publisher itself) resolves with one
-///            acquire load + epoch compare, no lock;
-///   relaxed  always takes the locked accumulate path - the location's
-///            sync clock must be folded into the thread's fence TLS so
-///            a later acquire fence can retroactively pair with the
-///            load. This is the price of fence soundness, and it is
-///            paid per relaxed load.
-/// Both loops hit one address, the steady state of a spin-loop consumer.
+/// the plain read8 ABI sweep as the baseline. Both orders take the same
+/// path (docs/ALGORITHM.md §16.2-16.3): a lock-free sync-table lookup,
+/// then the fast-epoch skip. After a single release publisher the arm
+/// holds that publisher's epoch, and a loader whose clock already covers
+/// it (here: the publisher itself) resolves with one acquire load + epoch
+/// compare, no lock - the acquire load skips its join, the relaxed load
+/// skips folding the location's clock into the fence TLS (a later
+/// acquire fence could add nothing the clock does not already hold).
+/// relaxed_vs_acquire should therefore sit near 1; check_bench_floor.sh
+/// gates it at 1.5. Both loops hit one address, the steady state of a
+/// spin-loop consumer.
 void atomics_section(JsonReport& json, std::size_t scale) {
   const std::size_t words = std::size_t{1} << 12;
   const std::size_t sweeps = 2048 * scale;

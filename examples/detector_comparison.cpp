@@ -5,7 +5,8 @@
 // The optional second argument selects the shadow backend for kernels
 // ported to the address-keyed API (sor, lufact), doubling as a smoke test
 // for the --shadow plumbing: per-run backend stats are printed so a
-// misrouted backend is visible immediately.
+// misrouted backend is visible immediately. The exit status is 1 when
+// any detector's run leaves the kernel's output invalid.
 //
 //   $ ./detector_comparison              # sparse (read-shared-heavy)
 //   $ ./detector_comparison raytracer    # any kernel from the suite
@@ -23,8 +24,9 @@ namespace {
 using namespace vft;
 using namespace vft::kernels;
 
+/// Runs the kernel under D; returns the kernel's `valid` flag.
 template <typename D, typename... Args>
-void run_one(const char* kernel_name, ShadowBackend backend, Args&&... args) {
+bool run_one(const char* kernel_name, ShadowBackend backend, Args&&... args) {
   const auto table = kernel_table<D>();
   for (const auto& e : table) {
     if (std::string(e.name) != kernel_name) continue;
@@ -59,7 +61,7 @@ void run_one(const char* kernel_name, ShadowBackend backend, Args&&... args) {
       std::printf("%-16s   packed space: %s\n", "",
                   rt::str(R.packed_space().stats()).c_str());
     }
-    return;
+    return result.valid;
   }
   std::fprintf(stderr, "unknown kernel %s\n", kernel_name);
   std::exit(2);
@@ -103,13 +105,18 @@ int main(int argc, char** argv) {
   std::printf("kernel: %s (4 threads, scale 4, shadow backend: %s)\n\n",
               kernel, shadow_backend_name(backend));
   run_base(kernel, backend);
-  run_one<VftV1>(kernel, backend);
-  run_one<VftV15>(kernel, backend);
-  run_one<VftV2>(kernel, backend);
-  run_one<FtMutex>(kernel, backend);
-  run_one<FtCas>(kernel, backend);
-  run_one<Djit>(kernel, backend);
+  bool valid = run_one<VftV1>(kernel, backend);
+  valid &= run_one<VftV15>(kernel, backend);
+  valid &= run_one<VftV2>(kernel, backend);
+  valid &= run_one<FtMutex>(kernel, backend);
+  valid &= run_one<FtCas>(kernel, backend);
+  valid &= run_one<Djit>(kernel, backend);
   std::printf("\nSee bench_table1 for the full suite with warm-up and "
               "repetition.\n");
+  if (!valid) {
+    std::fprintf(stderr, "detector_comparison: a run left %s's output "
+                 "invalid (valid=0 above)\n", kernel);
+    return 1;
+  }
   return 0;
 }

@@ -9,7 +9,7 @@
 //                                               SessionBackend (virtual)
 //                                                                  │
 //                            SessionImpl<D>: Runtime<D> + PackedShadowSpace
-//                                          + LockRegistry + lifecycle
+//                                          + SyncTables + lifecycle
 //
 // The detector D is fixed for the whole process but selectable at launch
 // (VFT_DETECTOR environment variable, or Session::configure before first
@@ -42,7 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/lock_registry.h"
+#include "runtime/sync_table.h"
 #include "runtime/tool.h"
 #include "vft/access_history.h"
 #include "vft/atomics.h"
@@ -105,6 +105,9 @@ class SessionBackend {
   // --- introspection for end-of-run reports.
   virtual std::size_t threads_seen() const = 0;
   virtual std::size_t locks_seen() const = 0;
+  /// Atomic locations holding an AtomicState: only a release-class or
+  /// fence-snapshot publication creates one.
+  virtual std::size_t atomics_seen() const = 0;
   virtual std::size_t shadow_words() const = 0;
 };
 
@@ -147,7 +150,6 @@ class SessionImpl final : public SessionBackend {
   /// The typed runtime, for same-detector callers (ambient wrappers,
   /// benches) that want the inlined path next to the erased one.
   Runtime<D>& runtime() { return rt_; }
-  LockRegistry& locks() { return locks_; }
 
   const char* detector_name() const override { return D::kName; }
 
@@ -180,12 +182,17 @@ class SessionImpl final : public SessionBackend {
   // thins data accesses, never synchronization - a dropped edge would
   // manufacture false races, the one thing the sampling layer must never
   // do). VFT_ATOMICS=off restores the PR-5 interposer-only behaviour.
+  //
+  // Only a publication creates an AtomicState (publishing()); the
+  // acquire-side halves look theirs up without inserting (published()),
+  // so a location nothing ever published to costs no lock, no allocation
+  // and no join (docs/ALGORITHM.md §16.3).
 
   void atomic_load(const void* a, int mo) override {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().atomic_load(*ts, atomics_.of(a),
+    rt_.tool().atomic_load(*ts, published(a),
                            atomics::fence_tls(generation_),
                            atomics::effective_mo(atomics_mode_, mo));
   }
@@ -194,25 +201,25 @@ class SessionImpl final : public SessionBackend {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().atomic_store(*ts, atomics_.of(a),
-                            atomics::fence_tls(generation_),
-                            atomics::effective_mo(atomics_mode_, mo));
+    atomics::FenceTls& f = atomics::fence_tls(generation_);
+    const int eff = atomics::effective_mo(atomics_mode_, mo);
+    rt_.tool().atomic_store(*ts, publishing(a, eff, f), f, eff);
   }
 
   void atomic_rmw_pre(const void* a, int mo) override {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().atomic_rmw_pre(*ts, atomics_.of(a),
-                              atomics::fence_tls(generation_),
-                              atomics::effective_mo(atomics_mode_, mo));
+    atomics::FenceTls& f = atomics::fence_tls(generation_);
+    const int eff = atomics::effective_mo(atomics_mode_, mo);
+    rt_.tool().atomic_rmw_pre(*ts, publishing(a, eff, f), f, eff);
   }
 
   void atomic_rmw_post(const void* a, int mo) override {
     if (atomics_mode_ == atomics::Mode::kOff) return;
     ThreadState* ts = self_or_attach();
     if (ts == nullptr) return;
-    rt_.tool().atomic_rmw_post(*ts, atomics_.of(a),
+    rt_.tool().atomic_rmw_post(*ts, published(a),
                                atomics::fence_tls(generation_),
                                atomics::effective_mo(atomics_mode_, mo));
   }
@@ -338,6 +345,8 @@ class SessionImpl final : public SessionBackend {
 
   std::size_t locks_seen() const override { return locks_.size(); }
 
+  std::size_t atomics_seen() const override { return atomics_.size(); }
+
   std::size_t shadow_words() const override {
     return rt_.has_packed_space()
                ? const_cast<Runtime<D>&>(rt_).packed_space().size()
@@ -360,6 +369,24 @@ class SessionImpl final : public SessionBackend {
     bool ended = false;
     bool retired = false;
   };
+
+  /// The state a store half runs against. Only a release-class store or
+  /// a relaxed one carrying a pending release-fence snapshot publishes,
+  /// so only those create the location's state; any other store half
+  /// just counts its rule against the never-published stand-in.
+  atomics::AtomicState& publishing(const void* a, int eff,
+                                   const atomics::FenceTls& f) {
+    return atomics::mo_is_release(eff) || f.has_release ? atomics_.of(a)
+                                                        : unpublished_;
+  }
+
+  /// The state a load half runs against. A miss means nothing was ever
+  /// published at `a`: its Sa.V is bottom, exactly the stand-in's, so
+  /// there is nothing to join or accumulate.
+  atomics::AtomicState& published(const void* a) {
+    atomics::AtomicState* sa = atomics_.find(a);
+    return sa != nullptr ? *sa : unpublished_;
+  }
 
   static bool one_word(const void* addr, std::size_t size) {
     const auto a = reinterpret_cast<std::uintptr_t>(addr);
@@ -554,8 +581,12 @@ class SessionImpl final : public SessionBackend {
   }
 
   Runtime<D> rt_;
-  LockRegistry locks_;
-  atomics::AtomicRegistry atomics_;
+  SyncTable<LockState> locks_;
+  SyncTable<atomics::AtomicState> atomics_;
+  /// Stands in for every location without an AtomicState. Handlers given
+  /// it never publish (publishing() routes every publication to the
+  /// table), so it stays bottom with fast_epoch 0 and is only ever read.
+  atomics::AtomicState unpublished_;
   const atomics::Mode atomics_mode_ = atomics::mode_from_env();
   const std::uint64_t generation_;
   sampling::Gate* const gate_;  ///< nullptr: sampling off, classic route

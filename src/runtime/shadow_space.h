@@ -45,7 +45,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 
 #include "vft/detector.h"
@@ -69,7 +71,8 @@ struct ShadowGeometry {
   static constexpr std::size_t kSlotsPerPage = 1u << kSlotsPerPageLog2;
   static constexpr std::size_t kPageSpanLog2 = kGranularityLog2 + kSlotsPerPageLog2;
   static constexpr std::size_t kPageSpan = 1u << kPageSpanLog2;
-  /// log2 top-level buckets: 64K atomic pointers = 512 KiB per space.
+  /// log2 top-level buckets: 64K page pointers = 512 KiB of address space
+  /// per directory, resident only where a bucket holds a page.
   static constexpr std::size_t kTopBitsLog2 = 16;
   static constexpr std::size_t kBuckets = 1u << kTopBitsLog2;
 
@@ -135,18 +138,25 @@ class PageDirectory {
  public:
   using Geometry = ShadowGeometry;
 
+  /// calloc, not a value-initialized array: the 512 KiB bucket array is
+  /// a fresh zero mapping, so only the buckets a page lands in ever
+  /// become resident (a directory nobody touches costs no RSS).
   PageDirectory()
-      : buckets_(std::make_unique<std::atomic<PageT*>[]>(Geometry::kBuckets)) {}
+      : buckets_(static_cast<PageT**>(
+            std::calloc(Geometry::kBuckets, sizeof(PageT*)))) {
+    if (buckets_ == nullptr) throw std::bad_alloc();
+  }
 
   ~PageDirectory() {
     for (std::size_t b = 0; b < Geometry::kBuckets; ++b) {
-      PageT* p = buckets_[b].load(std::memory_order_relaxed);
+      PageT* p = bucket(b).load(std::memory_order_relaxed);
       while (p != nullptr) {
         PageT* next = p->next.load(std::memory_order_relaxed);
         delete p;
         p = next;
       }
     }
+    std::free(buckets_);
   }
 
   PageDirectory(const PageDirectory&) = delete;
@@ -165,15 +175,37 @@ class PageDirectory {
   }
 
   /// The page for `base` if it was ever touched, else nullptr - a lookup
-  /// that never allocates. reset_range walks existing pages with this so
-  /// clearing the shadow of freed memory cannot materialize new pages.
+  /// that never allocates, through the same thread-local cache as page().
   PageT* find_page(std::uintptr_t base) {
-    std::atomic<PageT*>& head = buckets_[Geometry::bucket_of(base)];
+    const Cache& c = tl_cache_;
+    if (((c.space ^ id_) | (c.base ^ base)) == 0) return c.page;
+    std::atomic_ref<PageT*> head = bucket(Geometry::bucket_of(base));
     for (PageT* p = head.load(std::memory_order_acquire); p != nullptr;
          p = p->next.load(std::memory_order_acquire)) {
-      if (p->base == base) return p;
+      if (p->base == base) {
+        tl_cache_ = Cache{id_, base, p};
+        return p;
+      }
     }
     return nullptr;
+  }
+
+  /// fn(page, first, end) for every existing page overlapping [lo, hi),
+  /// with [first, end) the slot indices the range covers in that page.
+  /// The walk behind every reset_range: it never allocates, so clearing
+  /// the state of freed memory cannot materialize new pages.
+  template <typename Fn>
+  void for_each_page(std::uintptr_t lo, std::uintptr_t hi, Fn&& fn) {
+    for (std::uintptr_t base = Geometry::base_of(lo); base < hi;
+         base += Geometry::kPageSpan) {
+      PageT* p = find_page(base);
+      if (p == nullptr) continue;
+      const std::uintptr_t first = base < lo ? lo : base;
+      const std::uintptr_t last =
+          base + Geometry::kPageSpan < hi ? base + Geometry::kPageSpan : hi;
+      fn(*p, Geometry::slot_index(first),
+         ((last - 1 - base) >> Geometry::kGranularityLog2) + 1);
+    }
   }
 
   std::size_t pages() const { return pages_.load(std::memory_order_relaxed); }
@@ -201,7 +233,7 @@ class PageDirectory {
 #endif
   PageT& page_miss(std::uintptr_t base) {
     cache_misses_.add(0);
-    std::atomic<PageT*>& head = buckets_[Geometry::bucket_of(base)];
+    std::atomic_ref<PageT*> head = bucket(Geometry::bucket_of(base));
     PageT* p = head.load(std::memory_order_acquire);
     while (p != nullptr && p->base != base) {
       p = p->next.load(std::memory_order_acquire);
@@ -213,7 +245,7 @@ class PageDirectory {
 
   /// Miss path: allocate the page for `base` and CAS it onto the bucket
   /// chain; on a lost race the winner's page is used and ours is dropped.
-  PageT& publish_page(std::atomic<PageT*>& head, std::uintptr_t base) {
+  PageT& publish_page(std::atomic_ref<PageT*> head, std::uintptr_t base) {
     auto fresh = std::make_unique<PageT>(base);
     PageT* expected = head.load(std::memory_order_acquire);
     for (;;) {
@@ -238,8 +270,14 @@ class PageDirectory {
     }
   }
 
+  /// Bucket b's chain head. Every access goes through an atomic_ref; the
+  /// plain array only exists so calloc can hand it out untouched.
+  std::atomic_ref<PageT*> bucket(std::size_t b) {
+    return std::atomic_ref<PageT*>(buckets_[b]);
+  }
+
   const std::uint64_t id_ = Geometry::next_space_id();
-  std::unique_ptr<std::atomic<PageT*>[]> buckets_;
+  PageT** const buckets_;
   std::atomic<std::size_t> pages_{0};
   std::atomic<std::size_t> collisions_{0};
   /// Bumped on nearly every miss-path lookup, so it is sharded per
@@ -277,27 +315,17 @@ class ShadowSpace {
   void reset_range(const void* addr, std::size_t size) {
     if (size == 0) return;
     const auto lo = reinterpret_cast<std::uintptr_t>(addr);
-    const std::uintptr_t hi = lo + size;
-    for (std::uintptr_t base = Geometry::base_of(lo); base < hi;
-         base += Geometry::kPageSpan) {
-      Page* p = dir_.find_page(base);
-      if (p == nullptr) continue;
-      const std::uintptr_t first = base < lo ? lo : base;
-      const std::uintptr_t last =
-          base + Geometry::kPageSpan < hi ? base + Geometry::kPageSpan : hi;
-      std::size_t i = Geometry::slot_index(first);
-      const std::size_t end =
-          ((last - 1 - base) >> Geometry::kGranularityLog2) + 1;
-      for (; i < end; ++i) {
-        auto& vs = p->slots[i];
+    dir_.for_each_page(lo, lo + size, [&](Page& p, std::size_t first,
+                                          std::size_t end) {
+      for (std::size_t i = first; i < end; ++i) {
+        auto& vs = p.slots[i];
         const std::uint64_t id = vs.id;
         std::destroy_at(&vs);
         std::construct_at(&vs);
         vs.id = id;
       }
-      words_reset_.fetch_add(end - Geometry::slot_index(first),
-                             std::memory_order_relaxed);
-    }
+      words_reset_.fetch_add(end - first, std::memory_order_relaxed);
+    });
   }
 
   /// Pages allocated so far (racy snapshot).
@@ -478,19 +506,10 @@ class PackedShadowSpace {
   void reset_range(const void* addr, std::size_t size) {
     if (size == 0) return;
     const auto lo = reinterpret_cast<std::uintptr_t>(addr);
-    const std::uintptr_t hi = lo + size;
-    for (std::uintptr_t base = Geometry::base_of(lo); base < hi;
-         base += Geometry::kPageSpan) {
-      Page* p = dir_.find_page(base);
-      if (p == nullptr) continue;
-      const std::uintptr_t first = base < lo ? lo : base;
-      const std::uintptr_t last =
-          base + Geometry::kPageSpan < hi ? base + Geometry::kPageSpan : hi;
-      std::size_t i = Geometry::slot_index(first);
-      const std::size_t end =
-          ((last - 1 - base) >> Geometry::kGranularityLog2) + 1;
-      for (; i < end; ++i) {
-        if (VarState* vs = p->spills[i].load(std::memory_order_relaxed)) {
+    dir_.for_each_page(lo, lo + size, [&](Page& p, std::size_t first,
+                                          std::size_t end) {
+      for (std::size_t i = first; i < end; ++i) {
+        if (VarState* vs = p.spills[i].load(std::memory_order_relaxed)) {
           const std::uint64_t id = vs->id;
           std::destroy_at(vs);
           std::construct_at(vs);
@@ -498,15 +517,14 @@ class PackedShadowSpace {
         } else {
           // Racing an in-flight escalation loses benignly: the loser's
           // snapshot was the pre-free history the caller promised is quiet.
-          std::uint64_t cur = p->cells[i].bits();
+          std::uint64_t cur = p.cells[i].bits();
           while (!PackedCell::is_sentinel(cur) &&
-                 !p->cells[i].cas_bits(cur, 0)) {
+                 !p.cells[i].cas_bits(cur, 0)) {
           }
         }
       }
-      words_reset_.fetch_add(end - Geometry::slot_index(first),
-                             std::memory_order_relaxed);
-    }
+      words_reset_.fetch_add(end - first, std::memory_order_relaxed);
+    });
   }
 
   std::size_t pages() const { return dir_.pages(); }

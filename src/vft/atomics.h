@@ -26,22 +26,22 @@
 //   fence(seq_cst)  both halves. The seq_cst total order itself is not
 //                   modeled (like TSan; only its acquire/release strength).
 //
-// Sa.V lives in a LockRegistry-style sharded address-keyed registry
-// (AtomicRegistry below). Each state carries the FastTrack volatile-epoch
-// fast path: a release publication whose thread clock dominated Sa.V arms
-// `fast_epoch` with the publishing epoch t@c, and an acquirer that already
-// knows t@c skips the locked join entirely (knowing t@c implies having
-// absorbed the publisher's full clock at c, hence Sa.V). The arm is a CAS
-// so concurrent publishers collapse it to SHARED instead of clobbering
-// each other; the CAS and the loads around it are VFT_SCHED_POINT-probed
-// for the src/sched/ explorer.
+// Sa.V lives in the session's lock-free address-keyed sync table
+// (runtime/sync_table.h), created only by a publication: a location that
+// nothing ever published to has no AtomicState at all, and its loads find
+// nothing to join (docs/ALGORITHM.md §16.3). Each state carries the
+// FastTrack volatile-epoch fast path: a release publication whose thread
+// clock dominated Sa.V arms `fast_epoch` with the publishing epoch t@c,
+// and an acquirer (or relaxed accumulator) that already knows t@c skips
+// the locked join entirely (knowing t@c implies having absorbed the
+// publisher's full clock at c, hence Sa.V). The arm is a CAS so
+// concurrent publishers collapse it to SHARED instead of clobbering each
+// other; the CAS and the loads around it are VFT_SCHED_POINT-probed for
+// the src/sched/ explorer.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "sched/sched_point.h"
 #include "vft/epoch.h"
@@ -98,75 +98,9 @@ struct AtomicState {
   /// 0: nothing published yet (acquirers and relaxed loads skip the
   /// locked join - there is no clock to join). kSharedBits: publishers
   /// were unordered, every acquirer takes the locked join. Otherwise the
-  /// epoch t@c of the last dominating publication: an acquirer whose
-  /// V[t] >= c already absorbed Sa.V and skips the join.
+  /// epoch t@c of the last dominating publication: a loader whose
+  /// V[t] >= c already absorbed Sa.V and skips the join (or accumulate).
   std::atomic<std::uint32_t> fast_epoch{0};
-};
-
-/// Address-keyed map from atomic locations to their AtomicState, with the
-/// LockRegistry contract: references are stable for the session, every
-/// alias maps to the same state, and reset_range drops states whose
-/// addresses die so recycled memory starts from a bottom clock.
-class AtomicRegistry {
- public:
-  AtomicRegistry() = default;
-  AtomicRegistry(const AtomicRegistry&) = delete;
-  AtomicRegistry& operator=(const AtomicRegistry&) = delete;
-
-  /// The AtomicState identified by `addr`, created bottom on first use.
-  AtomicState& of(const void* addr) {
-    const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    Shard& s = shard_of(a);
-    std::scoped_lock lk(s.mu);
-    auto& slot = s.map[a];
-    if (slot == nullptr) slot = std::make_unique<AtomicState>();
-    return *slot;
-  }
-
-  /// Drop every state whose address lies in [addr, addr+size).
-  void reset_range(const void* addr, std::size_t size) {
-    const auto lo = reinterpret_cast<std::uintptr_t>(addr);
-    const std::uintptr_t hi = lo + size;
-    for (Shard& s : shards_) {
-      std::scoped_lock lk(s.mu);
-      for (auto it = s.map.begin(); it != s.map.end();) {
-        if (it->first >= lo && it->first < hi) {
-          it = s.map.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-
-  /// Number of distinct atomic locations seen so far.
-  std::size_t size() const {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) {
-      std::scoped_lock lk(s.mu);
-      n += s.map.size();
-    }
-    return n;
-  }
-
- private:
-  static constexpr std::size_t kShards = 64;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uintptr_t, std::unique_ptr<AtomicState>> map;
-  };
-
-  Shard& shard_of(std::uintptr_t a) {
-    // Atomics are at least naturally aligned; drop the low bits before
-    // mixing so neighbouring locations still spread over shards.
-    std::uintptr_t x = a >> 3;
-    x ^= x >> 17;
-    x *= 0x9E3779B97F4A7C15ull;
-    return shards_[(x >> 32) & (kShards - 1)];
-  }
-
-  Shard shards_[kShards];
 };
 
 /// Per-OS-thread fence state, generation-tagged so a Session::reset()

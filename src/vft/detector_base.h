@@ -83,7 +83,7 @@ class DetectorBase {
       return;
     }
     count(Rule::kAtomicRelaxed);
-    atomic_accumulate(sa, f);
+    atomic_accumulate(st, sa, f);
   }
 
   /// [Atomic Store]: release-class publishes St.V into Sa.V; relaxed
@@ -122,7 +122,7 @@ class DetectorBase {
     if (atomics::mo_is_acquire(eff)) {
       atomic_join(st, sa);
     } else {
-      atomic_accumulate(sa, f);
+      atomic_accumulate(st, sa, f);
     }
   }
 
@@ -152,18 +152,23 @@ class DetectorBase {
     if (stats_ != nullptr) stats_->bump(r);
   }
 
-  /// Acquire edge: St.V := St.V join Sa.V, behind the fast-epoch skip.
-  /// Knowing the armed epoch t@c means St.V already holds t's clock at c,
-  /// which the dominating arm made a superset of Sa.V; a SHARED or
-  /// unknown arm takes the locked join.
-  void atomic_join(ThreadState& st, atomics::AtomicState& sa) {
+  /// The fast-epoch skip: true when Sa.V can add nothing to St.V, so the
+  /// locked join is a no-op. Either nothing was ever published (Sa.V is
+  /// bottom), or St.V knows the armed epoch t@c - which means it already
+  /// holds t's clock at c, a superset of Sa.V by the dominating arm. A
+  /// SHARED or unknown arm takes the locked path.
+  static bool atomic_known(const ThreadState& st, atomics::AtomicState& sa) {
     VFT_SCHED_POINT(kLoad, &sa.fast_epoch);
     const std::uint32_t bits = sa.fast_epoch.load(std::memory_order_acquire);
-    if (bits == 0) return;  // nothing ever published: Sa.V is bottom
-    if (bits != atomics::AtomicState::kSharedBits) {
-      const Epoch fe = Epoch::from_bits(bits);
-      if (leq(fe, st.V.get(fe.tid()))) return;
-    }
+    if (bits == 0) return true;
+    if (bits == atomics::AtomicState::kSharedBits) return false;
+    const Epoch fe = Epoch::from_bits(bits);
+    return leq(fe, st.V.get(fe.tid()));
+  }
+
+  /// Acquire edge: St.V := St.V join Sa.V, behind the fast-epoch skip.
+  void atomic_join(ThreadState& st, atomics::AtomicState& sa) {
+    if (atomic_known(st, sa)) return;
     std::scoped_lock lk(sa.mu);
     st.join(sa.sync_V);
   }
@@ -223,8 +228,12 @@ class DetectorBase {
   /// Relaxed load: fold Sa.V into the pending-acquire accumulator (the
   /// acquire-fence rule needs the release clock of every location read
   /// relaxed since the last fence). Never cleared: once joined into St.V
-  /// the accumulator is dominated, so later joins are no-ops.
-  void atomic_accumulate(atomics::AtomicState& sa, atomics::FenceTls& f) {
+  /// the accumulator is dominated, so later joins are no-ops. Behind the
+  /// same skip as atomic_join: whatever St.V already holds, the fence's
+  /// join into St.V cannot add (docs/ALGORITHM.md §16.3).
+  void atomic_accumulate(const ThreadState& st, atomics::AtomicState& sa,
+                         atomics::FenceTls& f) {
+    if (atomic_known(st, sa)) return;
     std::scoped_lock lk(sa.mu);
     f.acquire_V.join(sa.sync_V);
     f.has_acquire = true;

@@ -12,7 +12,8 @@
 //                 rows and the C++ fence-synchronization pairings;
 //   abi           the vft_atomic_* entries produce bit-identical rule
 //                 counters with the inline fast path armed and retracted,
-//                 atomic events are never sampled out, and the
+//                 atomic events are never sampled out, relaxed-only
+//                 traffic creates no AtomicState, and the
 //                 VFT_ATOMICS mode knob (precise / sc / off) gates the
 //                 sync edge end to end through the session dispatch.
 #include <gtest/gtest.h>
@@ -392,6 +393,51 @@ TEST(AtomicsAbi, SamplingNeverGatesAtomicEvents) {
         << rule_name(rule);
   }
   EXPECT_EQ(vft_race_count(), 0u);
+}
+
+TEST(AtomicsAbi, RelaxedOnlyWorkloadCreatesNoAtomicState) {
+  // Relaxed operations with no release fence publish nothing, so they
+  // must not create a single AtomicState - yet every one of them still
+  // counts its rules exactly as before.
+  constexpr std::uint64_t kRounds = 64;
+  for (const char* det : kDetectors) {
+    SCOPED_TRACE(det);
+    configure(det, /*inline_on=*/true, nullptr);
+    vft_attach();
+    const auto relaxed_round = [] {
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        vft_atomic_store(&g_data[4], atomics::kMoRelaxed);
+        vft_atomic_load(&g_data[4], atomics::kMoRelaxed);
+        vft_atomic_rmw_pre(&g_data[5], atomics::kMoRelaxed);
+        vft_atomic_rmw_post(&g_data[5], atomics::kMoRelaxed);
+        vft_atomic_fence(atomics::kMoRelaxed);
+      }
+    };
+    relaxed_round();
+    const std::uint64_t tok = vft_thread_create();
+    std::thread child([tok, &relaxed_round] {
+      vft_thread_begin(tok);
+      relaxed_round();
+      vft_detach();
+    });
+    child.join();
+    vft_thread_join(tok);
+    auto& backend = Session::instance().backend();
+    EXPECT_EQ(backend.atomics_seen(), 0u);
+    const auto counts = snapshot();
+    const auto at = [&](Rule r) { return counts[static_cast<std::size_t>(r)]; };
+    EXPECT_EQ(at(Rule::kAtomicStore), 2 * kRounds);
+    EXPECT_EQ(at(Rule::kAtomicLoad), 2 * kRounds);
+    EXPECT_EQ(at(Rule::kAtomicRmw), 2 * kRounds);
+    EXPECT_EQ(at(Rule::kAtomicFence), 2 * kRounds);
+    EXPECT_EQ(at(Rule::kAtomicRelaxed), 2 * 4 * kRounds);
+    // The first publication creates the location's state, and only it.
+    vft_atomic_store(&g_data[4], atomics::kMoRelease);
+    vft_atomic_load(&g_data[5], atomics::kMoAcquire);
+    EXPECT_EQ(backend.atomics_seen(), 1u);
+    EXPECT_EQ(vft_race_count(), 0u);
+    vft_detach();
+  }
 }
 
 /// One message-passing handoff through real threads and the ABI: child
